@@ -20,6 +20,9 @@ from .errors import ConfigError, InvariantViolation, IoError, ParameterOutOfRang
 from .harness import (
     BenchScheme,
     Scheme,
+    _nonneg_int,
+    _norm_field,
+    _output_dir,
     bench_compare,
     generate_affine_family,
     parse_config,
@@ -94,6 +97,8 @@ def _load_json(path: str):
 
 
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config: expected an object, got {type(doc).__name__}")
     doc = dict(doc)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -151,7 +156,7 @@ def _run_scheme_command(args: argparse.Namespace) -> int:
 
 
 def _out_dir(args: argparse.Namespace, doc: dict) -> Path:
-    target = args.out or doc.get("output_dir")
+    target = args.out or _output_dir(doc)
     if target is None:
         raise ConfigError("output_dir: required (set it in the config or pass --out)")
     out = Path(target)
@@ -170,19 +175,27 @@ def _parse_family(doc: dict, seed: int) -> list:
         except (SchemaError, InvariantViolation) as e:
             raise ConfigError(f"family: {e}") from e
     if isinstance(fam, dict):
-        return generate_affine_family(
-            seed=int(fam.get("seed", seed)),
-            dim=int(fam.get("dim", 0)),
-            singular_values=fam.get("singular_values", []),
-            count=int(fam.get("count", 0)),
-        )
+        return _generate_family(fam, seed, "family.")
     raise ConfigError("family: expected a list of mappings or a generator object")
+
+
+def _generate_family(spec: dict, seed: int, prefix: str) -> list:
+    """The affine family described by a {seed, dim, singular_values, count} object."""
+    try:
+        return generate_affine_family(
+            seed=_nonneg_int(spec.get("seed", seed), f"{prefix}seed"),
+            dim=_nonneg_int(spec.get("dim", 0), f"{prefix}dim"),
+            singular_values=spec.get("singular_values", []),
+            count=_nonneg_int(spec.get("count", 0), f"{prefix}count"),
+        )
+    except ParameterOutOfRange as e:
+        raise ConfigError(str(e)) from e
 
 
 def _run_bench(args: argparse.Namespace) -> int:
     doc = _apply_overrides(_load_json(args.config), args)
     out = _out_dir(args, doc)
-    seed = int(doc.get("seed", 42))
+    seed = _nonneg_int(doc.get("seed", 42), "seed")
     family = _parse_family(doc, seed)
     raw_schemes = doc.get("schemes")
     if not isinstance(raw_schemes, list) or not raw_schemes:
@@ -193,13 +206,13 @@ def _run_bench(args: argparse.Namespace) -> int:
             raise ConfigError(f"schemes[{i}]: expected an object with a 'scheme' field")
         try:
             schemes.append(BenchScheme(s["scheme"], lam=s.get("lambda"), b=s.get("b")))
-        except (ConfigError, ValueError) as e:
+        except (ConfigError, TypeError, ValueError) as e:
             raise ConfigError(f"schemes[{i}]: {e}") from e
     try:
         stop = StopRule(**doc.get("stop", {}))
     except (TypeError, ParameterOutOfRange) as e:
         raise ConfigError(f"stop: {e}") from e
-    norm_kind = NormKind(doc.get("norm", "l2"))
+    norm_kind = _norm_field(doc.get("norm", "l2"))
     rows = bench_compare(family, schemes, stop, norm_kind, x0=doc.get("x0"))
     write_bench_csv(rows, out / "bench.csv")
     n_fail = sum(1 for r in rows if r["status"] != "converged")
@@ -210,15 +223,7 @@ def _run_bench(args: argparse.Namespace) -> int:
 def _run_gen(args: argparse.Namespace) -> int:
     doc = _apply_overrides(_load_json(args.config), args)
     out = _out_dir(args, doc)
-    try:
-        family = generate_affine_family(
-            seed=int(doc.get("seed", 42)),
-            dim=int(doc.get("dim", 0)),
-            singular_values=doc.get("singular_values", []),
-            count=int(doc.get("count", 0)),
-        )
-    except ParameterOutOfRange as e:
-        raise ConfigError(str(e)) from e
+    family = _generate_family(doc, 42, "")
     payload = [serialize_mapping(m) for m in family]
     path = out / "family.json"
     try:

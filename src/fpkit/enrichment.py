@@ -29,6 +29,7 @@ from .mappings import LinearCombinationWithIdentity, Mapping, evaluate_many
 from .spaces import NormKind, as_matrix, norm, norms_rowwise, operator_norm
 
 B_CAP = 1e6  # search ceiling for min_b_affine
+B_TOL = 1e-8  # min_b_affine returns the least feasible b to within this
 
 DEFAULT_SLACK = 1e-9
 
@@ -92,8 +93,10 @@ class PairSampler:
     near_pair_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ParameterOutOfRange("count must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ParameterOutOfRange(f"seed must be a non-negative integer, got {self.seed!r}")
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
+            raise ParameterOutOfRange(f"count must be an integer >= 1, got {self.count!r}")
         if not 0.0 <= self.near_pair_fraction <= 1.0:
             raise ParameterOutOfRange("near_pair_fraction must lie in [0, 1]")
         if not self.box_radius > 0.0 or not math.isfinite(self.box_radius):
@@ -232,17 +235,14 @@ def min_b_affine(
     matrix,
     kind: ConditionKind,
     norm_kind: NormKind = NormKind.L2,
-    *,
-    tol: float = 1e-8,
-    b_cap: float = B_CAP,
 ) -> float | None:
     """Least b >= 0 for which the affine map x -> A x + c satisfies the condition.
 
     For affine maps the condition is exactly ``||b I + A|| <= b + 1``
     (enriched) or ``||b I + A|| <= 1`` (modified); the offset c cancels and is
     not a parameter. g(b) = ||b I + A|| - rhs(b) is convex in b, so the
-    feasible set is an interval. Returns its left endpoint to within ``tol``,
-    or None when no b <= b_cap is feasible.
+    feasible set is an interval. Returns its left endpoint to within ``B_TOL``,
+    or None when no b <= B_CAP is feasible.
 
     The enriched g is convex and bounded above, hence non-increasing, so a
     doubling bracket plus bisection suffices. The modified g is U-shaped; its
@@ -266,15 +266,15 @@ def min_b_affine(
         for _ in range(64):
             if g(hi) <= 0.0:
                 break
-            if hi >= b_cap:
+            if hi >= B_CAP:
                 return None
             lo = hi  # last infeasible point
-            hi = min(hi * 2.0, b_cap)
+            hi = min(hi * 2.0, B_CAP)
         else:
             raise SearchBudgetExceeded("doubling bracket did not terminate")
     else:
-        # Locate the convex minimum of g on [0, b_cap], then bisect left of it.
-        a_, c_ = 0.0, b_cap
+        # Locate the convex minimum of g on [0, B_CAP], then bisect left of it.
+        a_, c_ = 0.0, B_CAP
         for _ in range(400):
             if c_ - a_ <= 1e-10 * max(1.0, c_):
                 break
@@ -292,7 +292,7 @@ def min_b_affine(
         lo = 0.0
 
     for _ in range(400):
-        if hi - lo <= tol * 0.5:
+        if hi - lo <= B_TOL * 0.5:
             return hi
         mid = 0.5 * (lo + hi)
         if g(mid) <= 0.0:

@@ -25,10 +25,6 @@ class ParameterOutOfRange(FpkitError):
     """A numeric parameter lies outside its admissible range."""
 
 
-class NoConvergence(FpkitError):
-    """An iterative estimator failed to stabilize within its budget."""
-
-
 class SearchBudgetExceeded(FpkitError):
     """A bracketing or bisection search exhausted its step budget."""
 

@@ -44,7 +44,7 @@ from .iteration import (
     solve_modified,
     write_trace_csv,
 )
-from .mappings import Affine, Mapping, as_affine, parse_mapping, serialize_mapping
+from .mappings import Affine, Mapping, _num, as_affine, parse_mapping, serialize_mapping
 from .spaces import DIM_CAP, NormKind, as_vector, norm
 
 
@@ -128,10 +128,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         scheme = Scheme(doc["scheme"])
     except ValueError:
         raise ConfigError(f"scheme: unknown scheme {doc['scheme']!r}") from None
-    try:
-        norm_kind = NormKind(doc.get("norm", "l2"))
-    except ValueError:
-        raise ConfigError(f"norm: unknown norm {doc['norm']!r}") from None
+    norm_kind = _norm_field(doc.get("norm", "l2"))
     kind = None
     if doc.get("kind") is not None:
         try:
@@ -155,24 +152,62 @@ def parse_config(doc: dict) -> ExperimentConfig:
         except (TypeError, ParameterOutOfRange) as e:
             raise ConfigError(f"sampler: {e}") from e
 
+    slack = _number(doc.get("slack", DEFAULT_SLACK), "slack")
+    if slack < 0.0:
+        raise ConfigError(f"slack: must be >= 0, got {slack}")
+
     cfg = ExperimentConfig(
         mapping=mapping,
         scheme=scheme,
         norm_kind=norm_kind,
-        b=None if doc.get("b") is None else float(doc["b"]),
-        lam=None if doc.get("lambda") is None else float(doc["lambda"]),
+        b=None if doc.get("b") is None else _number(doc["b"], "b"),
+        lam=None if doc.get("lambda") is None else _number(doc["lambda"], "lambda"),
         kind=kind,
         x0=x0,
         stop=stop,
         sampler=sampler,
-        slack=float(doc.get("slack", DEFAULT_SLACK)),
-        verify=bool(doc.get("verify", False)),
-        store_iterates=bool(doc.get("store_iterates", False)),
-        seed=int(doc.get("seed", 42)),
-        output_dir=doc.get("output_dir"),
+        slack=slack,
+        verify=_flag(doc.get("verify", False), "verify"),
+        store_iterates=_flag(doc.get("store_iterates", False), "store_iterates"),
+        seed=_nonneg_int(doc.get("seed", 42), "seed"),
+        output_dir=_output_dir(doc),
     )
     cfg.validate()
     return cfg
+
+
+def _output_dir(doc: dict) -> str | None:
+    v = doc.get("output_dir")
+    if v is not None and not isinstance(v, str):
+        raise ConfigError("output_dir: expected a string")
+    return v
+
+
+def _norm_field(v) -> NormKind:
+    try:
+        return NormKind(v)
+    except ValueError:
+        raise ConfigError(f"norm: unknown norm {v!r}") from None
+
+
+def _number(v, name: str) -> float:
+    try:
+        return _num(v, name)
+    except (SchemaError, InvariantViolation) as e:
+        raise ConfigError(str(e)) from None
+
+
+def _flag(v, name: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{name}: expected true or false")
+    return v
+
+
+def _nonneg_int(v, name: str) -> int:
+    """A config integer that must be >= 0 (a seed, a dimension or a count)."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ConfigError(f"{name}: expected a non-negative integer")
+    return v
 
 
 def config_to_doc(cfg: ExperimentConfig) -> dict:
@@ -341,7 +376,10 @@ def generate_affine_family(
         raise ParameterOutOfRange(f"dim must be in [1, {DIM_CAP}]")
     if count < 0:
         raise ParameterOutOfRange("count must be >= 0")
-    s = np.asarray(singular_values, dtype=float)
+    try:
+        s = np.asarray(singular_values, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterOutOfRange("singular_values must be a list of numbers") from None
     if s.ndim != 1 or s.size != dim:
         raise ParameterOutOfRange(f"singular_values must be a list of length dim={dim}")
     if not np.all(np.isfinite(s)) or np.any(s < 0):

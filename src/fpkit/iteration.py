@@ -15,7 +15,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +57,8 @@ class StopRule:
     def __post_init__(self):
         if self.eps_abs < 0 or self.eps_rel < 0 or (self.eps_abs == 0 and self.eps_rel == 0):
             raise ParameterOutOfRange("eps_abs/eps_rel must be >= 0 and not both zero")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+            raise ParameterOutOfRange(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ParameterOutOfRange("max_iter must be >= 1")
         if not self.norm_cap > 0:
@@ -269,23 +270,6 @@ def apriori_iterations(lam: float, d1: float, eps: float) -> int:
     while n > 0 and bound_ok(n - 1):
         n -= 1
     while not bound_ok(n):
-        n += 1
-    return n
-
-
-def apriori_iterations_exact(lam: Fraction, d1: Fraction, eps: Fraction) -> int:
-    """Brute-force evaluation of the a-priori count in exact rational arithmetic.
-
-    Slow and only for spot checks; the float version is the production path.
-    """
-    if not (0 < lam < 1):
-        raise ParameterOutOfRange("lambda must lie in (0, 1)")
-    if d1 == 0:
-        return 0
-    n = 0
-    value = d1 / (1 - lam)
-    while value > eps:
-        value *= lam
         n += 1
     return n
 

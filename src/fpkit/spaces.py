@@ -2,27 +2,22 @@
 operator norms.
 
 Everything is float64. Vectors are 1-D numpy arrays, matrices are square 2-D
-arrays. The l2 operator norm is estimated by power iteration on M^T M with a
-deterministic start vector, so results are reproducible bit for bit on a given
-platform; the l1 and l-infinity operator norms are exact column/row sums.
+arrays. The l2 operator norm is the largest singular value from LAPACK's SVD
+(through numpy); the l1 and l-infinity operator norms are exact column/row
+sums.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvariantViolation, NoConvergence
+from .errors import InvariantViolation
 
 # Dimension guard for user-supplied data. Generous for the intended desk-scale
 # experiments; raise it explicitly when constructing bigger problems.
 DIM_CAP = 64
-
-# Power-iteration defaults for the l2 operator norm.
-POWER_ITER_TOL = 1e-12
-POWER_ITER_BUDGET = 10_000
 
 
 class NormKind(str, Enum):
@@ -33,7 +28,10 @@ class NormKind(str, Enum):
 
 def as_vector(x, *, dim_cap: int = DIM_CAP, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, validating shape and entries."""
-    v = np.asarray(x, dtype=float)
+    try:
+        v = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InvariantViolation(f"{name}: expected an array of numbers") from None
     if v.ndim != 1 or v.size == 0:
         raise InvariantViolation(f"{name}: expected a non-empty 1-D array, got shape {v.shape}")
     if v.size > dim_cap:
@@ -76,26 +74,11 @@ def norms_rowwise(rows: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:
     return np.max(np.abs(rows), axis=1)
 
 
-def operator_norm(
-    M,
-    kind: NormKind = NormKind.L2,
-    *,
-    tol: float = POWER_ITER_TOL,
-    max_iter: int = POWER_ITER_BUDGET,
-) -> float:
+def operator_norm(M, kind: NormKind = NormKind.L2) -> float:
     """Induced operator norm of a square matrix.
 
     l1 and l-infinity are the exact maximum absolute column and row sums. l2
-    (the largest singular value) is estimated by power iteration on ``M^T M``
-    starting from ``(1, ..., 1)/sqrt(d)``; the iteration stops once successive
-    Rayleigh quotients agree to ``tol`` (relative, floored at 1 absolute).
-
-    Raises
-    ------
-    NoConvergence
-        If the Rayleigh quotients fail to stabilize within ``max_iter``
-        multiplications. Matrices whose two largest singular values are
-        nearly equal but distinct can need more than the default budget.
+    is the largest singular value, computed by LAPACK's SVD.
     """
     M = as_matrix(M)
     kind = NormKind(kind)
@@ -103,34 +86,4 @@ def operator_norm(
         return float(np.max(np.sum(np.abs(M), axis=0)))
     if kind is NormKind.LINF:
         return float(np.max(np.sum(np.abs(M), axis=1)))
-    return _spectral_norm_power(M, tol, max_iter)
-
-
-def _spectral_norm_power(M: np.ndarray, tol: float, max_iter: int) -> float:
-    d = M.shape[0]
-    B = M.T @ M
-    if not np.any(B):
-        return 0.0
-    # Deterministic starts: the uniform direction first, canonical basis
-    # vectors as fallbacks if an iterate lands exactly in the null space.
-    starts = [np.full(d, 1.0 / math.sqrt(d))]
-    starts.extend(np.eye(d)[i] for i in range(d))
-    for x in starts:
-        rq_prev = float(x @ B @ x)
-        stalled = False
-        for _ in range(max_iter):
-            y = B @ x
-            ny = float(np.linalg.norm(y))
-            if ny == 0.0:
-                stalled = True  # start was annihilated; try the next one
-                break
-            x = y / ny
-            rq = float(x @ B @ x)
-            if abs(rq - rq_prev) <= tol * max(1.0, abs(rq)):
-                return math.sqrt(max(rq, 0.0))
-            rq_prev = rq
-        if not stalled:
-            raise NoConvergence(
-                f"l2 operator norm: Rayleigh quotient did not stabilize within {max_iter} iterations"
-            )
-    raise NoConvergence("l2 operator norm: every deterministic start vector was annihilated")
+    return float(np.linalg.norm(M, 2))

@@ -6,9 +6,12 @@ across runs and machines (same BLAS-free code paths throughout).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 import fpkit as fp
+from fpkit.errors import ParameterOutOfRange
 
 FAMILY_SEED = 2000
 B_GRID = (0.0, 0.5, 1.0, 3.0)
@@ -23,6 +26,24 @@ def family50(seed: int = FAMILY_SEED) -> list[fp.Affine]:
         svals = np.linspace(top, max(0.5 * top, 0.05), dim)
         maps.extend(fp.generate_affine_family(seed + i, dim, svals, 1))
     return maps
+
+
+def apriori_iterations_exact(lam: Fraction, d1: Fraction, eps: Fraction) -> int:
+    """Brute-force evaluation of the a-priori count in exact rational arithmetic.
+
+    Slow and only for spot checks; the float ``fp.apriori_iterations`` is the
+    production path it is compared against.
+    """
+    if not (0 < lam < 1):
+        raise ParameterOutOfRange("lambda must lie in (0, 1)")
+    if d1 == 0:
+        return 0
+    n = 0
+    value = d1 / (1 - lam)
+    while value > eps:
+        value *= lam
+        n += 1
+    return n
 
 
 def separated_pairs(

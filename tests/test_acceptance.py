@@ -15,9 +15,14 @@ import numpy as np
 import pytest
 
 import fpkit as fp
-from fpkit.iteration import apriori_iterations_exact
 
-from _family import B_GRID, family50, reduction_identity_gap, separated_pairs
+from _family import (
+    B_GRID,
+    apriori_iterations_exact,
+    family50,
+    reduction_identity_gap,
+    separated_pairs,
+)
 
 T_LINE = fp.line_map(-2.0, 100.0)
 X_STAR = 100.0 / 3.0

@@ -129,6 +129,32 @@ def test_gen_roundtrips_through_solve(tmp_path, write_config):
     assert len(family) == 2 and all(m["kind"] == "affine" for m in family)
 
 
+def test_bench_rejects_bad_fields(tmp_path, write_config, capsys):
+    family = {"dim": 1, "singular_values": [0.5], "count": 2, "seed": 5}
+    schemes = [{"scheme": "picard"}]
+    for name, bad in (
+        ("norm", {"norm": "l3"}),
+        ("seed", {"seed": "x"}),
+        ("family.seed", {"family": {**family, "seed": "5"}}),
+        ("family.dim", {"family": {**family, "dim": 1.5}}),
+        ("family.count", {"family": {**family, "count": "2"}}),
+        ("singular_values", {"family": {**family, "singular_values": "abc"}}),
+        ("schemes[0]", {"schemes": [{"scheme": "krasnoselskij", "lambda": "x"}]}),
+        ("x0", {"x0": "abc"}),
+    ):
+        cfg = write_config({"family": family, "schemes": schemes, **bad})
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+        assert f"config error: {name}" in capsys.readouterr().err
+
+
+def test_gen_rejects_bad_fields(tmp_path, write_config, capsys):
+    doc = {"dim": 2, "singular_values": [0.5, 0.25], "count": 2, "seed": 3}
+    for name, value in (("dim", "2"), ("count", 2.5), ("seed", None), ("singular_values", "abc")):
+        cfg = write_config({**doc, name: value})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+        assert f"config error: {name}" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_IO
 
@@ -136,6 +162,8 @@ def test_missing_config_file_is_io_error(tmp_path):
 def test_malformed_json_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+    bad.write_text("[1, 2]")
     assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 

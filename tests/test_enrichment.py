@@ -310,6 +310,37 @@ def test_min_b_soundness_above_and_refutation_below():
                 assert ratio > 1.0 + 1e-9
 
 
+def _svd_gap(A, kind, bs):
+    """||bI + A||_2 - rhs(b) for each b in bs, through np.linalg.svd."""
+    bs = np.atleast_1d(np.asarray(bs, dtype=float))
+    tops = np.linalg.svd(bs[:, None, None] * np.eye(A.shape[0]) + A, compute_uv=False)[:, 0]
+    return tops - (bs + 1.0 if kind is fp.ConditionKind.ENRICHED else 1.0)
+
+
+def test_l2_min_b_is_least_on_random_family():
+    # Minimizing ||bI + A||_2 over b drives the top two singular values of
+    # bI + A together; the search must stay exact there. Every returned b is
+    # feasible and b - 1e-8 is not; every None has no feasible b: the
+    # enriched gap is non-increasing, so B_CAP is its best point, and a
+    # feasible modified b would satisfy b <= ||A|| + 1.
+    for d in (2, 4, 8):
+        for seed in range(10):
+            (m,) = fp.generate_affine_family(seed, d, np.linspace(0.1, 1.8, d), 1)
+            A = m.matrix
+            for kind in fp.ConditionKind:
+                b = fp.min_b_affine(A, kind, fp.NormKind.L2)
+                if b is None:
+                    if kind is fp.ConditionKind.ENRICHED:
+                        grid = [fp.B_CAP]
+                    else:
+                        grid = np.linspace(0.0, np.linalg.norm(A, 2) + 1.0, 2001)
+                    assert np.all(_svd_gap(A, kind, grid) > 0.0), (d, seed, kind)
+                    continue
+                assert _svd_gap(A, kind, b)[0] <= 1e-12, (d, seed, kind, b)
+                if b > 1e-8:
+                    assert _svd_gap(A, kind, b - 1e-8)[0] > 0.0, (d, seed, kind, b)
+
+
 def test_enriched_feasibility_is_upward_closed():
     # Once the reduced inequality holds it keeps holding for larger b:
     # scan 100 grid points and reject any feasible -> infeasible transition.

@@ -45,6 +45,22 @@ def test_config_validation_names_the_offending_field():
         )
     with pytest.raises(ConfigError, match="x0"):
         fp.parse_config({"mapping": DEMO_DOC["mapping"], "scheme": "picard"})
+    # Scalar fields are type-checked rather than coerced.
+    for name, value in (
+        ("b", "abc"), ("b", True), ("lambda", "x"), ("seed", "x"), ("seed", 1.5),
+        ("seed", -1), ("verify", "false"), ("store_iterates", 1), ("slack", -1e-3),
+        ("x0", "abc"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{name}:"):
+            demo_config(**{name: value})
+    with pytest.raises(ConfigError, match="^stop: max_iter"):
+        demo_config(stop={"max_iter": 2.5})
+    with pytest.raises(ConfigError, match="^output_dir:"):
+        demo_config(output_dir=5)
+    # A float count is refused before any pairs are drawn.
+    for sampler in ({"seed": -1}, {"seed": 1.5}, {"count": 1e9}):
+        with pytest.raises(ConfigError, match="^sampler:"):
+            demo_config(sampler=sampler)
 
 
 def test_config_round_trip_is_a_fixpoint():

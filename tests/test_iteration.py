@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import fpkit as fp
 from fpkit.errors import DimensionMismatch, InsufficientData, ParameterOutOfRange
-from fpkit.iteration import apriori_iterations_exact
+
+from _family import apriori_iterations_exact
 
 T_LINE = fp.line_map(-2.0, 100.0)
 X_STAR = 100.0 / 3.0
