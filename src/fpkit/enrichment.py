@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, SearchBudgetExceeded
 from .mappings import LinearCombinationWithIdentity, Mapping, evaluate_many
-from .spaces import NormKind, as_matrix, norm, norms_rowwise, operator_norm
+from .spaces import NormKind, as_matrix, is_number, norm, norms_rowwise, operator_norm
 
 B_CAP = 1e6  # search ceiling for min_b_affine
 B_TOL = 1e-8  # min_b_affine returns the least feasible b to within this
@@ -97,6 +97,9 @@ class PairSampler:
             raise ParameterOutOfRange(f"seed must be a non-negative integer, got {self.seed!r}")
         if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
             raise ParameterOutOfRange(f"count must be an integer >= 1, got {self.count!r}")
+        for name in ("box_radius", "near_pair_fraction"):
+            if not is_number(getattr(self, name)):
+                raise ParameterOutOfRange(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 <= self.near_pair_fraction <= 1.0:
             raise ParameterOutOfRange("near_pair_fraction must lie in [0, 1]")
         if not self.box_radius > 0.0 or not math.isfinite(self.box_radius):

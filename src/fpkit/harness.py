@@ -45,7 +45,7 @@ from .iteration import (
     write_trace_csv,
 )
 from .mappings import Affine, Mapping, _num, as_affine, parse_mapping, serialize_mapping
-from .spaces import DIM_CAP, NormKind, as_vector, norm
+from .spaces import DIM_CAP, NormKind, as_vector, is_number, norm
 
 
 class Scheme(str, Enum):
@@ -413,6 +413,9 @@ class BenchScheme:
 
     def __post_init__(self):
         self.scheme = Scheme(self.scheme)
+        for name, v in (("lambda", self.lam), ("b", self.b)):
+            if v is not None and not is_number(v):
+                raise ConfigError(f"{name}: expected a number, got {v!r}")
         if self.scheme is Scheme.KRASNOSELSKIJ and (self.lam is None or not 0 < self.lam < 1):
             raise ConfigError(f"lambda: must lie in (0, 1) for krasnoselskij, got {self.lam}")
         if self.scheme is Scheme.SOLVE_MODIFIED and (self.b is None or not self.b > 0):

@@ -27,8 +27,8 @@ from .enrichment import (
     verify_condition,
 )
 from .errors import DimensionMismatch, InsufficientData, NonFiniteResult, ParameterOutOfRange
-from .mappings import Mapping, evaluate
-from .spaces import NormKind, as_vector, norm
+from .mappings import Mapping, _apply, evaluate
+from .spaces import VECTOR_NORMS, NormKind, as_vector, is_number, norm
 
 # A run is declared diverged once the residual has grown on this many
 # consecutive steps, ignored during the initial transient.
@@ -55,7 +55,11 @@ class StopRule:
     norm_cap: float = 1e12
 
     def __post_init__(self):
-        if self.eps_abs < 0 or self.eps_rel < 0 or (self.eps_abs == 0 and self.eps_rel == 0):
+        for name in ("eps_abs", "eps_rel", "norm_cap"):
+            if not is_number(getattr(self, name)):
+                raise ParameterOutOfRange(f"{name} must be a number, got {getattr(self, name)!r}")
+        eps_abs, eps_rel = self.eps_abs, self.eps_rel
+        if not (eps_abs >= 0 and eps_rel >= 0) or (eps_abs == 0 and eps_rel == 0):
             raise ParameterOutOfRange("eps_abs/eps_rel must be >= 0 and not both zero")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
             raise ParameterOutOfRange(f"max_iter must be an integer, got {self.max_iter!r}")
@@ -97,15 +101,27 @@ def picard(
 
     Divergence is declared when an iterate's norm exceeds ``stop.norm_cap``,
     when the residual grows on DIVERGENCE_WINDOW consecutive steps after an
-    initial grace period, or when evaluation overflows to non-finite values.
+    initial grace period, or when evaluation overflows to non-finite values
+    (that step is not recorded).
+
+    ``x0`` and its dimension are validated once, before the loop; each step
+    then applies the mapping directly, since every variant maps a float64
+    vector to one of the same shape, and takes one norm of the new iterate.
+    A finite norm proves every entry finite, so only a step whose norm is
+    infinite or NaN tests its entries: non-finite entries end the run
+    unrecorded, while finite entries whose norm overflowed are recorded and
+    then trip ``norm_cap``. Traces are bit for bit those of calling
+    ``evaluate`` and ``norm`` on every step.
     """
     stop = stop if stop is not None else StopRule()
     norm_kind = NormKind(norm_kind)
+    vector_norm = VECTOR_NORMS[norm_kind]
     x = as_vector(x0, name="x0")
     if x.size != mapping.dim:
         raise DimensionMismatch(
             f"mapping of dimension {mapping.dim} iterated from x0 of dimension {x.size}"
         )
+    eps_abs, eps_rel, norm_cap = stop.eps_abs, stop.eps_rel, stop.norm_cap
 
     residuals: list[float] = []
     ratios: list[float | None] = []
@@ -113,32 +129,33 @@ def picard(
     status = Status.MAX_ITER_REACHED
     growth_streak = 0
 
-    for _ in range(stop.max_iter):
-        try:
-            x_next = evaluate(mapping, x)
-        except NonFiniteResult:
-            status = Status.DIVERGED
-            break
-        r = norm(x_next - x, norm_kind)
-        if residuals:
-            prev = residuals[-1]
-            ratios.append(r / prev if prev > 0.0 else None)
-            growth_streak = growth_streak + 1 if r > prev else 0
-        else:
-            ratios.append(None)
-        residuals.append(r)
-        if iterates is not None:
-            iterates.append(x_next.copy())
-        x = x_next
-        if r <= stop.eps_abs + stop.eps_rel * norm(x_next, norm_kind):
-            status = Status.CONVERGED
-            break
-        if norm(x_next, norm_kind) > stop.norm_cap:
-            status = Status.DIVERGED
-            break
-        if len(residuals) > DIVERGENCE_GRACE and growth_streak >= DIVERGENCE_WINDOW:
-            status = Status.DIVERGED
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(stop.max_iter):
+            x_next = _apply(mapping, x)
+            x_norm = vector_norm(x_next)
+            if not math.isfinite(x_norm) and not np.isfinite(x_next).all():
+                status = Status.DIVERGED
+                break
+            r = vector_norm(x_next - x)
+            if residuals:
+                prev = residuals[-1]
+                ratios.append(r / prev if prev > 0.0 else None)
+                growth_streak = growth_streak + 1 if r > prev else 0
+            else:
+                ratios.append(None)
+            residuals.append(r)
+            if iterates is not None:
+                iterates.append(x_next.copy())
+            x = x_next
+            if r <= eps_abs + eps_rel * x_norm:
+                status = Status.CONVERGED
+                break
+            if x_norm > norm_cap:
+                status = Status.DIVERGED
+                break
+            if len(residuals) > DIVERGENCE_GRACE and growth_streak >= DIVERGENCE_WINDOW:
+                status = Status.DIVERGED
+                break
 
     return IterationTrace(
         residuals=residuals,

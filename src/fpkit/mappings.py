@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NonFiniteResult, SchemaError
-from .spaces import DIM_CAP, as_matrix, as_vector
+from .spaces import DIM_CAP, as_matrix, as_vector, is_number
 
 
 class Mapping:
@@ -369,7 +369,7 @@ def _parse(doc, path: str, dim_cap: int) -> Mapping:
 
 
 def _num(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not is_number(v):
         raise SchemaError(f"{path}: expected a number")
     if not math.isfinite(v):
         raise InvariantViolation(f"{path}: must be finite")

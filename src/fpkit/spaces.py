@@ -9,6 +9,8 @@ sums.
 
 from __future__ import annotations
 
+import math
+import numbers
 from enum import Enum
 
 import numpy as np
@@ -24,6 +26,11 @@ class NormKind(str, Enum):
     L1 = "l1"
     L2 = "l2"
     LINF = "linf"
+
+
+def is_number(v) -> bool:
+    """Whether ``v`` is a real number. Python counts a bool as an int; this does not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def as_vector(x, *, dim_cap: int = DIM_CAP, name: str = "vector") -> np.ndarray:
@@ -53,15 +60,28 @@ def as_matrix(m, *, dim_cap: int = DIM_CAP, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _l1(v: np.ndarray) -> float:
+    return float(np.abs(v).sum())
+
+
+def _l2(v: np.ndarray) -> float:
+    # Bit for bit what np.linalg.norm computes for a 1-D float64 vector.
+    return math.sqrt(v.dot(v))
+
+
+def _linf(v: np.ndarray) -> float:
+    return float(np.abs(v).max())
+
+
+# One kernel per vector norm, shared by ``norm`` and the iteration loop. A
+# kernel takes a 1-D float64 array as is: ``norm`` converts its argument
+# first, and the iteration loop passes the vectors it produced itself.
+VECTOR_NORMS = {NormKind.L1: _l1, NormKind.L2: _l2, NormKind.LINF: _linf}
+
+
 def norm(v, kind: NormKind = NormKind.L2) -> float:
     """Vector norm of the requested kind. Zero exactly on the zero vector."""
-    v = np.asarray(v, dtype=float)
-    kind = NormKind(kind)
-    if kind is NormKind.L1:
-        return float(np.sum(np.abs(v)))
-    if kind is NormKind.L2:
-        return float(np.linalg.norm(v))
-    return float(np.max(np.abs(v)))
+    return VECTOR_NORMS[NormKind(kind)](np.asarray(v, dtype=float).ravel(order="K"))
 
 
 def norms_rowwise(rows: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:

@@ -11,7 +11,9 @@ from fractions import Fraction
 import numpy as np
 
 import fpkit as fp
-from fpkit.errors import ParameterOutOfRange
+from fpkit.errors import DimensionMismatch, NonFiniteResult, ParameterOutOfRange
+from fpkit.iteration import DIVERGENCE_GRACE, DIVERGENCE_WINDOW
+from fpkit.spaces import as_vector
 
 FAMILY_SEED = 2000
 B_GRID = (0.0, 0.5, 1.0, 3.0)
@@ -44,6 +46,85 @@ def apriori_iterations_exact(lam: Fraction, d1: Fraction, eps: Fraction) -> int:
         value *= lam
         n += 1
     return n
+
+
+def reference_norm(v, kind: fp.NormKind = fp.NormKind.L2) -> float:
+    """Vector norms through numpy's generic reductions, the reference for ``fp.norm``."""
+    v = np.asarray(v, dtype=float)
+    kind = fp.NormKind(kind)
+    if kind is fp.NormKind.L1:
+        return float(np.sum(np.abs(v)))
+    if kind is fp.NormKind.L2:
+        return float(np.linalg.norm(v))
+    return float(np.max(np.abs(v)))
+
+
+def reference_picard(
+    mapping: fp.Mapping,
+    x0,
+    stop: fp.StopRule | None = None,
+    norm_kind: fp.NormKind = fp.NormKind.L2,
+    *,
+    store_iterates: bool = False,
+) -> fp.IterationTrace:
+    """The straightforward Picard loop, the reference for ``fp.picard``.
+
+    Every step goes through ``fp.evaluate`` (validation, errstate, finite
+    check) and takes the iterate's norm twice through ``reference_norm``.
+    ``fp.picard`` validates once, applies the mapping directly and takes one
+    norm of each iterate; its traces must equal this loop's bit for bit.
+    Slow and only for comparisons.
+    """
+    stop = stop if stop is not None else fp.StopRule()
+    norm_kind = fp.NormKind(norm_kind)
+    x = as_vector(x0, name="x0")
+    if x.size != mapping.dim:
+        raise DimensionMismatch(
+            f"mapping of dimension {mapping.dim} iterated from x0 of dimension {x.size}"
+        )
+
+    residuals: list[float] = []
+    ratios: list[float | None] = []
+    iterates: list[np.ndarray] | None = [x.copy()] if store_iterates else None
+    status = fp.Status.MAX_ITER_REACHED
+    growth_streak = 0
+
+    for _ in range(stop.max_iter):
+        try:
+            x_next = fp.evaluate(mapping, x)
+        except NonFiniteResult:
+            status = fp.Status.DIVERGED
+            break
+        r = reference_norm(x_next - x, norm_kind)
+        if residuals:
+            prev = residuals[-1]
+            ratios.append(r / prev if prev > 0.0 else None)
+            growth_streak = growth_streak + 1 if r > prev else 0
+        else:
+            ratios.append(None)
+        residuals.append(r)
+        if iterates is not None:
+            iterates.append(x_next.copy())
+        x = x_next
+        if r <= stop.eps_abs + stop.eps_rel * reference_norm(x_next, norm_kind):
+            status = fp.Status.CONVERGED
+            break
+        if reference_norm(x_next, norm_kind) > stop.norm_cap:
+            status = fp.Status.DIVERGED
+            break
+        if len(residuals) > DIVERGENCE_GRACE and growth_streak >= DIVERGENCE_WINDOW:
+            status = fp.Status.DIVERGED
+            break
+
+    return fp.IterationTrace(
+        residuals=residuals,
+        ratios=ratios,
+        status=status,
+        final=x,
+        iterations=len(residuals),
+        norm_kind=norm_kind,
+        iterates=iterates,
+    )
 
 
 def separated_pairs(

@@ -139,7 +139,11 @@ def test_bench_rejects_bad_fields(tmp_path, write_config, capsys):
         ("family.dim", {"family": {**family, "dim": 1.5}}),
         ("family.count", {"family": {**family, "count": "2"}}),
         ("singular_values", {"family": {**family, "singular_values": "abc"}}),
-        ("schemes[0]", {"schemes": [{"scheme": "krasnoselskij", "lambda": "x"}]}),
+        ("schemes[0]: lambda", {"schemes": [{"scheme": "krasnoselskij", "lambda": "x"}]}),
+        ("schemes[0]: lambda", {"schemes": [{"scheme": "krasnoselskij", "lambda": True}]}),
+        ("schemes[0]: b", {"schemes": [{"scheme": "solve_modified", "b": True}]}),
+        ("schemes[0]: b", {"schemes": [{"scheme": "solve_modified", "b": "3"}]}),
+        ("stop: eps_abs", {"stop": {"eps_abs": True}}),
         ("x0", {"x0": "abc"}),
     ):
         cfg = write_config({"family": family, "schemes": schemes, **bad})

@@ -55,12 +55,22 @@ def test_config_validation_names_the_offending_field():
             demo_config(**{name: value})
     with pytest.raises(ConfigError, match="^stop: max_iter"):
         demo_config(stop={"max_iter": 2.5})
+    # Booleans are not numbers, and a string is named rather than compared.
+    for name, value in (
+        ("eps_abs", True), ("eps_abs", "x"), ("eps_rel", False),
+        ("norm_cap", True), ("norm_cap", "1e12"),
+    ):
+        with pytest.raises(ConfigError, match=f"^stop: {name} must be a number"):
+            demo_config(stop={name: value})
     with pytest.raises(ConfigError, match="^output_dir:"):
         demo_config(output_dir=5)
     # A float count is refused before any pairs are drawn.
     for sampler in ({"seed": -1}, {"seed": 1.5}, {"count": 1e9}):
         with pytest.raises(ConfigError, match="^sampler:"):
             demo_config(sampler=sampler)
+    for name, value in (("box_radius", True), ("box_radius", "x"), ("near_pair_fraction", False)):
+        with pytest.raises(ConfigError, match=f"^sampler: {name} must be a number"):
+            demo_config(sampler={name: value})
 
 
 def test_config_round_trip_is_a_fixpoint():

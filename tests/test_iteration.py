@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fpkit as fp
 from fpkit.errors import DimensionMismatch, InsufficientData, ParameterOutOfRange
 
-from _family import apriori_iterations_exact
+from _family import apriori_iterations_exact, reference_norm, reference_picard
 
 T_LINE = fp.line_map(-2.0, 100.0)
 X_STAR = 100.0 / 3.0
@@ -74,6 +74,121 @@ def test_stop_rule_validation():
         fp.StopRule(max_iter=0)
     with pytest.raises(ParameterOutOfRange):
         fp.StopRule(norm_cap=-1.0)
+    with pytest.raises(ParameterOutOfRange):
+        fp.StopRule(eps_abs=math.nan)
+
+
+# --- the step loop against the reference loop ---
+
+
+def _bits(values) -> list[str]:
+    """repr of each float: equal lists mean bit-identical values, NaN included."""
+    return [repr(v) for v in values]
+
+
+def assert_same_trace(got: fp.IterationTrace, want: fp.IterationTrace) -> None:
+    assert _bits(got.residuals) == _bits(want.residuals)
+    assert _bits(got.ratios) == _bits(want.ratios)
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert got.final.tobytes() == want.final.tobytes()
+    if want.iterates is None:
+        assert got.iterates is None
+    else:
+        assert [x.tobytes() for x in got.iterates] == [x.tobytes() for x in want.iterates]
+
+
+def quiet_reference(*args, **kwargs) -> fp.IterationTrace:
+    # The reference takes its norms outside errstate, so numpy would warn
+    # about the overflows that these traces record.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return reference_picard(*args, **kwargs)
+
+
+def _loop_cases():
+    """(name, mapping, x0): the line demo, affine maps at d in {1, 2, 8, 64}, box compositions."""
+    rng = np.random.default_rng(404)
+    cases = [("line demo", T_LINE, np.array([0.0])), ("line demo far", T_LINE, np.array([-7.5e5]))]
+    for d in (1, 2, 8, 64):
+        # Top singular value above 1: plain Picard may diverge, averaging converges.
+        svals = np.linspace(1.4, 0.3, d)
+        for i, m in enumerate(fp.generate_affine_family(500 + d, d, svals, 2)):
+            cases.append((f"affine d={d} #{i}", m, rng.uniform(-10.0, 10.0, d)))
+    a8 = fp.generate_affine_family(77, 8, np.linspace(1.6, 0.5, 8), 1)[0]
+    cases.append(("affine then box, d=8",
+                  fp.Composition((a8, fp.BoxProjection(-4.0 * np.ones(8), 4.0 * np.ones(8)))),
+                  rng.uniform(-10.0, 10.0, 8)))
+    cases.append(("rotation then box",
+                  fp.Composition((fp.Rotation(1.5), fp.BoxProjection([-1.0, -2.0], [3.0, 0.5]))),
+                  np.array([5.0, -5.0])))
+    return cases
+
+
+@pytest.mark.parametrize("kind", [fp.NormKind.L1, fp.NormKind.L2, fp.NormKind.LINF])
+def test_schemes_match_the_reference_loop_bit_for_bit(kind):
+    stop = fp.StopRule(max_iter=400)
+    lam, b = 0.25, 3.0
+    for name, m, x0 in _loop_cases():
+        for store in (False, True):
+            want = reference_picard(m, x0, stop, kind, store_iterates=store)
+            assert_same_trace(fp.picard(m, x0, stop, kind, store_iterates=store), want)
+
+            want = reference_picard(fp.averaged(m, lam), x0, stop, kind, store_iterates=store)
+            assert_same_trace(fp.krasnoselskij(m, lam, x0, stop, kind, store_iterates=store), want)
+
+            res = fp.solve_modified(m, b, x0, stop, kind, store_iterates=store)
+            want = reference_picard(fp.averaged(m, 1.0 / (b + 1.0)), x0, stop, kind,
+                                    store_iterates=store)
+            assert_same_trace(res.trace, want)
+            assert res.fixed_point.tobytes() == want.final.tobytes()
+            assert repr(res.residual_T) == repr(
+                reference_norm(fp.evaluate(m, want.final) - want.final, kind)
+            ), name
+
+
+def test_picard_evaluation_overflow_ends_diverged_unrecorded():
+    # 1e300 * 1e10 overflows to inf on the first step, which is not recorded.
+    for kind in fp.NormKind:
+        tr = fp.picard(fp.scaling_map(1e300), [1e10], norm_kind=kind, store_iterates=True)
+        assert tr.status is fp.Status.DIVERGED
+        assert tr.iterations == 0 and tr.residuals == [] and tr.ratios == []
+        assert tr.final.tolist() == [1e10]
+        assert_same_trace(tr, reference_picard(fp.scaling_map(1e300), [1e10], norm_kind=kind,
+                                               store_iterates=True))
+
+
+def test_picard_nan_step_ends_diverged_unrecorded():
+    # x -> 2y - y with y = 1e50 x: exact while 2y is finite, so the iterates
+    # climb 1e50, 1e100, ..., 1e300 (l2 norms overflow from 1e200 on, and
+    # with no norm cap those steps are recorded). Then y overflows and
+    # inf - inf gives NaN: that step ends the run and is not recorded.
+    double_less_one = fp.LinearCombinationWithIdentity(2.0, -1.0, fp.Identity(1))
+    m = fp.Composition((fp.scaling_map(1e50), double_less_one))
+    stop = fp.StopRule(norm_cap=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(fp.mappings._apply(m, np.array([1e300]))[0])
+    for kind in fp.NormKind:
+        tr = fp.picard(m, [1.0], stop, kind, store_iterates=True)
+        assert tr.status is fp.Status.DIVERGED
+        assert tr.iterations == 6
+        assert tr.final[0] == pytest.approx(1e300, rel=1e-12)
+        assert_same_trace(tr, quiet_reference(m, [1.0], stop, kind, store_iterates=True))
+    l2 = fp.picard(m, [1.0], stop)
+    assert l2.residuals[-3:] == [math.inf] * 3
+
+
+def test_picard_norm_overflow_on_finite_entries_is_recorded_then_capped():
+    # 1e200 is finite, but its square overflows: the l2 residual and norm are
+    # inf. The step is recorded, then the norm cap ends the run.
+    m = fp.scaling_map(1e200, dim=2)
+    for kind in fp.NormKind:
+        tr = fp.picard(m, [1.0, -1.0], norm_kind=kind)
+        assert tr.status is fp.Status.DIVERGED
+        assert tr.iterations == 1
+        assert tr.final.tolist() == [1e200, -1e200]
+        assert_same_trace(tr, quiet_reference(m, [1.0, -1.0], norm_kind=kind))
+    assert fp.picard(m, [1.0, -1.0]).residuals == [math.inf]
+    assert fp.picard(m, [1.0, -1.0], norm_kind=fp.NormKind.LINF).residuals == [1e200]
 
 
 # --- krasnoselskij ---

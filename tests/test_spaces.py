@@ -7,6 +7,8 @@ import fpkit as fp
 from fpkit.errors import InvariantViolation
 from fpkit.spaces import as_vector, norms_rowwise
 
+from _family import reference_norm
+
 ALL_KINDS = (fp.NormKind.L1, fp.NormKind.L2, fp.NormKind.LINF)
 
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -17,6 +19,19 @@ def test_norm_worked_examples():
     assert fp.norm([3.0, 4.0], fp.NormKind.L2) == 5.0
     assert fp.norm([1.0, -2.0], fp.NormKind.L1) == 3.0
     assert fp.norm([1.0, -2.0], fp.NormKind.LINF) == 2.0
+
+
+def test_norm_matches_numpy_reductions_bit_for_bit():
+    rng = np.random.default_rng(8)
+    vectors = [
+        rng.standard_normal(d) * scale for d in (1, 2, 3, 8, 17, 64) for scale in (1e-3, 1.0, 1e150)
+    ]
+    # Lists, a scalar and matrices (Frobenius in l2), as callers of ``norm`` may pass.
+    vectors += [[3.0, 4.0], 2.5, rng.standard_normal((3, 4)),
+                np.asfortranarray(rng.standard_normal((5, 5)))]
+    for v in vectors:
+        for kind in ALL_KINDS:
+            assert repr(fp.norm(v, kind)) == repr(reference_norm(v, kind))
 
 
 def test_norm_zero_iff_zero_vector():
