@@ -26,10 +26,11 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, SearchBudgetExceeded
 from .mappings import LinearCombinationWithIdentity, Mapping, evaluate_many
-from .spaces import NormKind, as_matrix, is_number, norm, norms_rowwise, operator_norm
+from .spaces import OPERATOR_NORMS, NormKind, as_matrix, is_number, norm, norms_rowwise
 
 B_CAP = 1e6  # search ceiling for min_b_affine
 B_TOL = 1e-8  # min_b_affine returns the least feasible b to within this
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio, 0.618...
 
 DEFAULT_SLACK = 1e-9
 
@@ -234,6 +235,30 @@ def verify_condition(
     )
 
 
+def _golden_minimizer(g, c: float) -> float:
+    """Approximate minimizer of the convex ``g`` on [0, c].
+
+    Golden-section search: each narrowing keeps one interior point and
+    evaluates g once at a new one, until the bracket has shrunk to
+    1e-10 * max(1, c); its midpoint is returned.
+    """
+    a = 0.0
+    x1, x2 = c - _INVPHI * c, _INVPHI * c
+    g1, g2 = g(x1), g(x2)
+    for _ in range(400):
+        if c - a <= 1e-10 * max(1.0, c):
+            return 0.5 * (a + c)
+        if g1 <= g2:  # the minimizer lies in [a, x2]
+            c, x2, g2 = x2, x1, g1
+            x1 = c - _INVPHI * (c - a)
+            g1 = g(x1)
+        else:  # the minimizer lies in [x1, c]
+            a, x1, g1 = x1, x2, g2
+            x2 = a + _INVPHI * (c - a)
+            g2 = g(x2)
+    raise SearchBudgetExceeded("golden-section search did not terminate")
+
+
 def min_b_affine(
     matrix,
     kind: ConditionKind,
@@ -248,20 +273,24 @@ def min_b_affine(
     or None when no b <= B_CAP is feasible.
 
     The enriched g is convex and bounded above, hence non-increasing, so a
-    doubling bracket plus bisection suffices. The modified g is U-shaped; its
-    minimizer is located first by ternary search so a narrow feasible
-    interval cannot be skipped.
+    doubling bracket plus bisection suffices. The modified g is U-shaped and
+    its feasible interval may be narrow, so a golden-section search locates
+    its minimizer first. Since ||b I + A|| >= b - ||A||, every feasible b is
+    at most ||A|| + 1 = g(0) + 2, which bounds that search. If g is positive
+    at the minimizer nothing is feasible; otherwise bisection between 0 and
+    the minimizer gives the left endpoint.
     """
     A = as_matrix(matrix, name="matrix")
     kind = ConditionKind(kind)
-    norm_kind = NormKind(norm_kind)
+    op_norm = OPERATOR_NORMS[NormKind(norm_kind)]
     eye = np.eye(A.shape[0])
 
     def g(b: float) -> float:
         rhs = b + 1.0 if kind is ConditionKind.ENRICHED else 1.0
-        return operator_norm(b * eye + A, norm_kind) - rhs
+        return op_norm(b * eye + A) - rhs
 
-    if g(0.0) <= 0.0:
+    g0 = g(0.0)
+    if g0 <= 0.0:
         return 0.0
 
     if kind is ConditionKind.ENRICHED:
@@ -276,20 +305,7 @@ def min_b_affine(
         else:
             raise SearchBudgetExceeded("doubling bracket did not terminate")
     else:
-        # Locate the convex minimum of g on [0, B_CAP], then bisect left of it.
-        a_, c_ = 0.0, B_CAP
-        for _ in range(400):
-            if c_ - a_ <= 1e-10 * max(1.0, c_):
-                break
-            m1 = a_ + (c_ - a_) / 3.0
-            m2 = c_ - (c_ - a_) / 3.0
-            if g(m1) <= g(m2):
-                c_ = m2
-            else:
-                a_ = m1
-        else:
-            raise SearchBudgetExceeded("ternary search did not terminate")
-        hi = 0.5 * (a_ + c_)
+        hi = _golden_minimizer(g, min(B_CAP, g0 + 2.0))
         if g(hi) > 0.0:
             return None
         lo = 0.0

@@ -21,6 +21,13 @@ from .errors import InvariantViolation
 # experiments; raise it explicitly when constructing bigger problems.
 DIM_CAP = 64
 
+# Below this l2 norm, v . v is under the smallest normal float64: squares lose
+# bits or vanish, and the l2 kernels rescale first. Every entry of such a
+# vector is below it too, so scaling by _L2_SCALE puts all nonzero squares in
+# the normal range without overflow; a power of two scales exactly.
+_L2_RESCALE_BELOW = math.sqrt(np.finfo(float).tiny)  # about 1.49e-154
+_L2_SCALE = 2.0**600
+
 
 class NormKind(str, Enum):
     L1 = "l1"
@@ -65,8 +72,14 @@ def _l1(v: np.ndarray) -> float:
 
 
 def _l2(v: np.ndarray) -> float:
-    # Bit for bit what np.linalg.norm computes for a 1-D float64 vector.
-    return math.sqrt(v.dot(v))
+    # Bit for bit what np.linalg.norm computes for a 1-D float64 vector, except
+    # below _L2_RESCALE_BELOW. Comparing the Python float result is the
+    # cheapest test, which matters in the iteration loop.
+    n = math.sqrt(v.dot(v))
+    if n < _L2_RESCALE_BELOW:
+        w = v * _L2_SCALE
+        return math.sqrt(w.dot(w)) / _L2_SCALE
+    return n
 
 
 def _linf(v: np.ndarray) -> float:
@@ -90,8 +103,33 @@ def norms_rowwise(rows: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:
     if kind is NormKind.L1:
         return np.sum(np.abs(rows), axis=1)
     if kind is NormKind.L2:
-        return np.sqrt(np.sum(rows * rows, axis=1))
+        out = np.sqrt(np.sum(rows * rows, axis=1))
+        tiny = out < _L2_RESCALE_BELOW
+        if tiny.any():  # rescale those rows, as _l2 does
+            w = rows[tiny] * _L2_SCALE
+            out[tiny] = np.sqrt(np.sum(w * w, axis=1)) / _L2_SCALE
+        return out
     return np.max(np.abs(rows), axis=1)
+
+
+def _op_l1(M: np.ndarray) -> float:
+    return float(np.abs(M).sum(axis=0).max())  # largest column sum
+
+
+def _op_l2(M: np.ndarray) -> float:
+    # numpy returns singular values in descending order; this is the value
+    # np.linalg.norm(M, 2) takes the maximum of.
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def _op_linf(M: np.ndarray) -> float:
+    return float(np.abs(M).sum(axis=1).max())  # largest row sum
+
+
+# One kernel per operator norm, shared by ``operator_norm`` and the least-b
+# search. A kernel takes a finite square float64 matrix as is: callers
+# validate with ``as_matrix`` first, or pass matrices they built from one.
+OPERATOR_NORMS = {NormKind.L1: _op_l1, NormKind.L2: _op_l2, NormKind.LINF: _op_linf}
 
 
 def operator_norm(M, kind: NormKind = NormKind.L2) -> float:
@@ -101,9 +139,4 @@ def operator_norm(M, kind: NormKind = NormKind.L2) -> float:
     is the largest singular value, computed by LAPACK's SVD.
     """
     M = as_matrix(M)
-    kind = NormKind(kind)
-    if kind is NormKind.L1:
-        return float(np.max(np.sum(np.abs(M), axis=0)))
-    if kind is NormKind.LINF:
-        return float(np.max(np.sum(np.abs(M), axis=1)))
-    return float(np.linalg.norm(M, 2))
+    return OPERATOR_NORMS[NormKind(kind)](M)

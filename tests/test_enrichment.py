@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import fpkit as fp
+from fpkit import spaces
+from fpkit.enrichment import B_TOL
 from fpkit.errors import ParameterOutOfRange
 
 from _family import family50, reduction_identity_gap, separated_pairs
@@ -310,35 +312,87 @@ def test_min_b_soundness_above_and_refutation_below():
                 assert ratio > 1.0 + 1e-9
 
 
-def _svd_gap(A, kind, bs):
-    """||bI + A||_2 - rhs(b) for each b in bs, through np.linalg.svd."""
+def _np_gap(A, kind, bs, ord_):
+    """||bI + A|| - rhs(b) for each b in bs, through np.linalg.norm(., ord_) (the SVD for 2)."""
     bs = np.atleast_1d(np.asarray(bs, dtype=float))
-    tops = np.linalg.svd(bs[:, None, None] * np.eye(A.shape[0]) + A, compute_uv=False)[:, 0]
+    tops = np.linalg.norm(bs[:, None, None] * np.eye(A.shape[0]) + A, ord_, axis=(1, 2))
     return tops - (bs + 1.0 if kind is fp.ConditionKind.ENRICHED else 1.0)
+
+
+def _min_b_family():
+    """ROADMAP's least-b family: one map per seed 0-9 and d in {2, 4, 8}."""
+    for d in (2, 4, 8):
+        for seed in range(10):
+            (m,) = fp.generate_affine_family(seed, d, np.linspace(0.1, 1.8, d), 1)
+            yield d, seed, m.matrix
+
+
+def _check_least_on_random_family(norm_kind, ord_):
+    # Every returned b is feasible and b - 1e-8 is not; every None has no
+    # feasible b: the enriched gap is non-increasing, so B_CAP is its best
+    # point, and a feasible modified b would satisfy b <= ||A|| + 1.
+    for d, seed, A in _min_b_family():
+        for kind in fp.ConditionKind:
+            b = fp.min_b_affine(A, kind, norm_kind)
+            if b is None:
+                if kind is fp.ConditionKind.ENRICHED:
+                    grid = [fp.B_CAP]
+                else:
+                    grid = np.linspace(0.0, np.linalg.norm(A, ord_) + 1.0, 2001)
+                assert np.all(_np_gap(A, kind, grid, ord_) > 0.0), (d, seed, kind)
+                continue
+            assert _np_gap(A, kind, b, ord_)[0] <= 1e-12, (d, seed, kind, b)
+            if b > 1e-8:
+                assert _np_gap(A, kind, b - 1e-8, ord_)[0] > 0.0, (d, seed, kind, b)
 
 
 def test_l2_min_b_is_least_on_random_family():
     # Minimizing ||bI + A||_2 over b drives the top two singular values of
-    # bI + A together; the search must stay exact there. Every returned b is
-    # feasible and b - 1e-8 is not; every None has no feasible b: the
-    # enriched gap is non-increasing, so B_CAP is its best point, and a
-    # feasible modified b would satisfy b <= ||A|| + 1.
-    for d in (2, 4, 8):
-        for seed in range(10):
-            (m,) = fp.generate_affine_family(seed, d, np.linspace(0.1, 1.8, d), 1)
-            A = m.matrix
-            for kind in fp.ConditionKind:
-                b = fp.min_b_affine(A, kind, fp.NormKind.L2)
-                if b is None:
-                    if kind is fp.ConditionKind.ENRICHED:
-                        grid = [fp.B_CAP]
-                    else:
-                        grid = np.linspace(0.0, np.linalg.norm(A, 2) + 1.0, 2001)
-                    assert np.all(_svd_gap(A, kind, grid) > 0.0), (d, seed, kind)
-                    continue
-                assert _svd_gap(A, kind, b)[0] <= 1e-12, (d, seed, kind, b)
-                if b > 1e-8:
-                    assert _svd_gap(A, kind, b - 1e-8)[0] > 0.0, (d, seed, kind, b)
+    # bI + A together; the search must stay exact there.
+    _check_least_on_random_family(fp.NormKind.L2, 2)
+
+
+@pytest.mark.parametrize("norm_kind, ord_", [(fp.NormKind.L1, 1), (fp.NormKind.LINF, np.inf)])
+def test_l1_linf_min_b_is_least_on_random_family(norm_kind, ord_):
+    _check_least_on_random_family(norm_kind, ord_)
+
+
+@pytest.mark.parametrize("norm_kind", list(fp.NormKind))
+def test_modified_min_b_bracket_keeps_answers_near_b_cap(norm_kind):
+    # For A = -aI, ||bI + A|| = |b - a| in every norm, so the modified
+    # feasible set is [a - 1, a + 1]. The search bracket min(B_CAP, ||A|| + 1)
+    # must still reach a least b just below B_CAP, and find none past it.
+    for a, want in (
+        (0.5 * fp.B_CAP, 0.5 * fp.B_CAP - 1.0),
+        (fp.B_CAP + 0.5, fp.B_CAP - 0.5),
+        (fp.B_CAP + 10.0, None),
+    ):
+        got = fp.min_b_affine(-a * np.eye(3), fp.ConditionKind.MODIFIED, norm_kind)
+        if want is None:
+            assert got is None, a
+        else:
+            assert got == pytest.approx(want, abs=B_TOL), a
+
+
+def test_min_b_operator_norm_budget(monkeypatch):
+    # Each least-b search evaluates ||bI + A|| through the kernel table, once
+    # per probe. Over the family in every kind and norm the mean is 39.3
+    # evaluations per call; a ternary search over [0, B_CAP] needed 104.
+    evals = 0
+    for norm_kind, kernel in list(spaces.OPERATOR_NORMS.items()):
+        def counted(M, kernel=kernel):
+            nonlocal evals
+            evals += 1
+            return kernel(M)
+        monkeypatch.setitem(spaces.OPERATOR_NORMS, norm_kind, counted)
+    calls = 0
+    for _, _, A in _min_b_family():
+        for kind in fp.ConditionKind:
+            for norm_kind in fp.NormKind:
+                fp.min_b_affine(A, kind, norm_kind)
+                calls += 1
+    assert calls == 180
+    assert evals / calls <= 45.0, evals / calls
 
 
 def test_enriched_feasibility_is_upward_closed():

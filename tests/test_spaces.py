@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fpkit as fp
@@ -38,6 +38,26 @@ def test_norm_zero_iff_zero_vector():
     for kind in ALL_KINDS:
         assert fp.norm(np.zeros(4), kind) == 0.0
         assert fp.norm([0.0, 1e-30, 0.0], kind) > 0.0
+
+
+def test_tiny_nonzero_vectors_have_positive_accurate_norms():
+    # Entries below ~1.5e-154 square into subnormals or zero, so the plain
+    # sqrt(v . v) reads 0.0 or loses bits there; the norms must not.
+    cases = [
+        ([1e-170], 1e-170),
+        ([1e-200, -1e-200], np.sqrt(2.0) * 1e-200),
+        ([8.681273957028337e-159], 8.681273957028337e-159),
+        ([5e-324, 0.0], 5e-324),
+    ]
+    for v, l2 in cases:
+        v = np.asarray(v)
+        rows = np.vstack([v, np.zeros_like(v), np.full_like(v, 3.0)])
+        for kind in ALL_KINDS:
+            assert fp.norm(v, kind) > 0.0, (v, kind)
+            by_row = norms_rowwise(rows, kind)
+            assert by_row[0] > 0.0 and by_row[1] == 0.0, (v, kind)
+            assert [repr(float(n)) for n in by_row] == [repr(fp.norm(r, kind)) for r in rows]
+        assert fp.norm(v, fp.NormKind.L2) == pytest.approx(l2, rel=1e-15, abs=0.0)
 
 
 def test_operator_norm_identity_is_one_in_every_kind():
@@ -123,6 +143,7 @@ def test_operator_norm_consistency_seeded():
     st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=8),
     st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=8),
 )
+@example([8.681273957028337e-159], [8.681273957028337e-159])
 @settings(max_examples=200, deadline=None)
 def test_norm_axioms_hypothesis(a, b):
     n = min(len(a), len(b))
