@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, SearchBudgetExceeded
 from .mappings import LinearCombinationWithIdentity, Mapping, evaluate_many
-from .spaces import OPERATOR_NORMS, NormKind, as_matrix, is_number, norm, norms_rowwise
+from .spaces import OPERATOR_NORMS, NormKind, as_matrix, as_norm_kind, is_number, norms_rowwise
 
 B_CAP = 1e6  # search ceiling for min_b_affine
 B_TOL = 1e-8  # min_b_affine returns the least feasible b to within this
@@ -34,10 +34,31 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio, 0.618...
 
 DEFAULT_SLACK = 1e-9
 
+# Pair arrays are processed in row blocks of about this many entries (256 KiB
+# of float64), so the temporaries of each block stay in cache and are reused
+# instead of faulting in fresh pages. A budget rather than a row count keeps
+# low-dimensional checks in one block.
+_BLOCK_ENTRIES = 2**15
+
 
 class ConditionKind(str, Enum):
     ENRICHED = "enriched"
     MODIFIED = "modified"
+
+
+def _as_condition_kind(kind) -> ConditionKind:
+    try:
+        return ConditionKind(kind)
+    except ValueError:
+        raise ParameterOutOfRange(
+            f"unknown condition kind {kind!r}, expected enriched or modified"
+        ) from None
+
+
+def _row_blocks(n: int, dim: int):
+    """Slices covering rows 0..n in blocks of about _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // dim)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def averaged(base: Mapping, lam: float) -> LinearCombinationWithIdentity:
@@ -75,6 +96,17 @@ def modified_shift(base: Mapping, b: float) -> LinearCombinationWithIdentity:
     return LinearCombinationWithIdentity(b, 1.0, base)
 
 
+def _fill_uniform(rng: np.random.Generator, out: np.ndarray, r: float) -> None:
+    """Fill ``out`` in place with the bits of ``rng.uniform(-r, r, out.shape)``.
+
+    numpy computes uniform(low, high) as low + (high - low) * U from the same
+    doubles U that ``rng.random`` draws.
+    """
+    rng.random(out=out)
+    out *= r - (-r)
+    out += -r
+
+
 @dataclass
 class PairSampler:
     """Deterministic sampler of vector pairs for condition checks.
@@ -103,40 +135,54 @@ class PairSampler:
                 raise ParameterOutOfRange(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 <= self.near_pair_fraction <= 1.0:
             raise ParameterOutOfRange("near_pair_fraction must lie in [0, 1]")
-        if not self.box_radius > 0.0 or not math.isfinite(self.box_radius):
-            raise ParameterOutOfRange("box_radius must be positive and finite")
+        # Uniform draws scale by the box's width 2r, which must be finite.
+        if not self.box_radius > 0.0 or not math.isfinite(2.0 * self.box_radius):
+            raise ParameterOutOfRange(
+                f"box_radius must be positive with 2*box_radius finite, got {self.box_radius!r}"
+            )
 
     def draw(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (xs, ys), each of shape (count, dim); near pairs come first."""
-        if dim < 1:
-            raise ParameterOutOfRange("dim must be >= 1")
+        """Return (xs, ys), each of shape (count, dim); near pairs come first.
+
+        Both arrays are allocated once and filled in place, with the stream
+        and the bits of plain ``rng.uniform`` and ``rng.standard_normal``
+        draws of each block.
+        """
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ParameterOutOfRange(f"dim must be an integer >= 1, got {dim!r}")
         rng = np.random.default_rng(self.seed)
         r = self.box_radius
         n_near = int(round(self.count * self.near_pair_fraction))
-        n_far = self.count - n_near
+        xs = np.empty((self.count, dim))
+        ys = np.empty((self.count, dim))
 
-        x_near = rng.uniform(-r, r, size=(n_near, dim))
-        dirs = rng.standard_normal(size=(n_near, dim))
-        lens = np.linalg.norm(dirs, axis=1)
+        x_near, y_near = xs[:n_near], ys[:n_near]
+        _fill_uniform(rng, x_near, r)
+        rng.standard_normal(out=y_near)  # directions, scaled below
+        lens = np.linalg.norm(y_near, axis=1)
         while np.any(lens == 0.0):
             bad = lens == 0.0
-            dirs[bad] = rng.standard_normal(size=(int(bad.sum()), dim))
-            lens = np.linalg.norm(dirs, axis=1)
+            y_near[bad] = rng.standard_normal(size=(int(bad.sum()), dim))
+            lens = np.linalg.norm(y_near, axis=1)
         mags = np.exp(rng.uniform(math.log(1e-4 * r), math.log(1e-3 * r), size=n_near))
-        y_near = x_near + dirs * (mags / lens)[:, None]
+        y_near *= (mags / lens)[:, None]
+        y_near += x_near
 
-        x_far = rng.uniform(-r, r, size=(n_far, dim))
-        y_far = rng.uniform(-r, r, size=(n_far, dim))
+        x_far, y_far = xs[n_near:], ys[n_near:]
+        _fill_uniform(rng, x_far, r)
+        _fill_uniform(rng, y_far, r)
         floor = 1e-14 * r
+        bad = np.empty(len(x_far), dtype=bool)
         while True:
-            bad = np.linalg.norm(x_far - y_far, axis=1) < floor
+            for blk in _row_blocks(len(x_far), dim):
+                bad[blk] = norms_rowwise(x_far[blk] - y_far[blk]) < floor
             if not bad.any():
                 break
             k = int(bad.sum())
             x_far[bad] = rng.uniform(-r, r, size=(k, dim))
             y_far[bad] = rng.uniform(-r, r, size=(k, dim))
 
-        return np.vstack([x_near, x_far]), np.vstack([y_near, y_far])
+        return xs, ys
 
 
 @dataclass
@@ -196,7 +242,8 @@ def condition_ratio(
     """||b(x-y) + Tx - Ty|| divided by the condition's right-hand side."""
     xs = np.asarray(x, dtype=float)[None, :]
     ys = np.asarray(y, dtype=float)[None, :]
-    return float(_condition_ratios(mapping, float(b), ConditionKind(kind), xs, ys, NormKind(norm_kind))[0])
+    kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
+    return float(_condition_ratios(mapping, float(b), kind, xs, ys, norm_kind)[0])
 
 
 def verify_condition(
@@ -213,14 +260,21 @@ def verify_condition(
     A report with ``passed=False`` carries a concrete violating pair and is a
     proof of failure. ``passed=True`` only says no sampled pair violated the
     inequality beyond ``slack``.
+
+    Pairs are scored in row blocks of max(1, 2**15 // d) rows, so besides
+    the two (count, d) pair arrays the check holds only one block's
+    temporaries and the ratio vector. Every row's ratio is the same as in
+    one whole-batch pass.
     """
     b = float(b)
     if b < 0.0 or not math.isfinite(b):
         raise ParameterOutOfRange(f"b must be finite and >= 0, got {b}")
-    kind = ConditionKind(kind)
+    kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
     sampler = sampler if sampler is not None else PairSampler()
     xs, ys = sampler.draw(mapping.dim)
-    ratios = _condition_ratios(mapping, b, kind, xs, ys, NormKind(norm_kind))
+    ratios = np.empty(sampler.count)
+    for blk in _row_blocks(sampler.count, mapping.dim):
+        ratios[blk] = _condition_ratios(mapping, b, kind, xs[blk], ys[blk], norm_kind)
     idx = int(np.argmax(ratios))  # first index on ties
     max_ratio = float(ratios[idx])
     return EnrichmentReport(
@@ -281,8 +335,8 @@ def min_b_affine(
     the minimizer gives the left endpoint.
     """
     A = as_matrix(matrix, name="matrix")
-    kind = ConditionKind(kind)
-    op_norm = OPERATOR_NORMS[NormKind(norm_kind)]
+    kind = _as_condition_kind(kind)
+    op_norm = OPERATOR_NORMS[as_norm_kind(norm_kind)]
     eye = np.eye(A.shape[0])
 
     def g(b: float) -> float:

@@ -28,7 +28,7 @@ from .enrichment import (
 )
 from .errors import DimensionMismatch, InsufficientData, NonFiniteResult, ParameterOutOfRange
 from .mappings import Mapping, _apply, evaluate
-from .spaces import VECTOR_NORMS, NormKind, as_vector, is_number, norm
+from .spaces import VECTOR_NORMS, NormKind, as_norm_kind, as_vector, is_number, norm
 
 # A run is declared diverged once the residual has grown on this many
 # consecutive steps, ignored during the initial transient.
@@ -114,7 +114,7 @@ def picard(
     ``evaluate`` and ``norm`` on every step.
     """
     stop = stop if stop is not None else StopRule()
-    norm_kind = NormKind(norm_kind)
+    norm_kind = as_norm_kind(norm_kind)
     vector_norm = VECTOR_NORMS[norm_kind]
     x = as_vector(x0, name="x0")
     if x.size != mapping.dim:

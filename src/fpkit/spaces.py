@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ParameterOutOfRange
 
 # Dimension guard for user-supplied data. Generous for the intended desk-scale
 # experiments; raise it explicitly when constructing bigger problems.
@@ -33,6 +33,14 @@ class NormKind(str, Enum):
     L1 = "l1"
     L2 = "l2"
     LINF = "linf"
+
+
+def as_norm_kind(kind) -> NormKind:
+    """``kind`` as a NormKind; an unknown name raises ParameterOutOfRange."""
+    try:
+        return NormKind(kind)
+    except ValueError:
+        raise ParameterOutOfRange(f"unknown norm {kind!r}, expected l1, l2 or linf") from None
 
 
 def is_number(v) -> bool:
@@ -93,21 +101,35 @@ VECTOR_NORMS = {NormKind.L1: _l1, NormKind.L2: _l2, NormKind.LINF: _linf}
 
 
 def norm(v, kind: NormKind = NormKind.L2) -> float:
-    """Vector norm of the requested kind. Zero exactly on the zero vector."""
-    return VECTOR_NORMS[NormKind(kind)](np.asarray(v, dtype=float).ravel(order="K"))
+    """Vector norm of the requested kind. Zero exactly on the zero vector.
+
+    An empty vector is an InvariantViolation, as in ``as_vector``.
+    """
+    kernel = VECTOR_NORMS[as_norm_kind(kind)]
+    v = np.asarray(v, dtype=float).ravel(order="K")
+    if v.size == 0:
+        raise InvariantViolation("vector: expected a non-empty array")
+    return kernel(v)
 
 
 def norms_rowwise(rows: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:
     """Norm of each row of a 2-D array, vectorized."""
-    kind = NormKind(kind)
+    kind = as_norm_kind(kind)
     if kind is NormKind.L1:
         return np.sum(np.abs(rows), axis=1)
     if kind is NormKind.L2:
-        out = np.sqrt(np.sum(rows * rows, axis=1))
-        tiny = out < _L2_RESCALE_BELOW
-        if tiny.any():  # rescale those rows, as _l2 does
-            w = rows[tiny] * _L2_SCALE
-            out[tiny] = np.sqrt(np.sum(w * w, axis=1)) / _L2_SCALE
+        with np.errstate(over="ignore"):
+            out = np.sqrt(np.sum(rows * rows, axis=1))
+            tiny = out < _L2_RESCALE_BELOW
+            if tiny.any():  # rescale those rows, as _l2 does
+                w = rows[tiny] * _L2_SCALE
+                out[tiny] = np.sqrt(np.sum(w * w, axis=1)) / _L2_SCALE
+            # Rows whose squares overflow: scale down by the same power of
+            # two. A norm past the float range, or of a row holding inf, is inf.
+            huge = np.isinf(out)
+            if huge.any():
+                w = rows[huge] / _L2_SCALE
+                out[huge] = np.sqrt(np.sum(w * w, axis=1)) * _L2_SCALE
         return out
     return np.max(np.abs(rows), axis=1)
 
@@ -139,4 +161,4 @@ def operator_norm(M, kind: NormKind = NormKind.L2) -> float:
     is the largest singular value, computed by LAPACK's SVD.
     """
     M = as_matrix(M)
-    return OPERATOR_NORMS[NormKind(kind)](M)
+    return OPERATOR_NORMS[as_norm_kind(kind)](M)

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import math
+
 import numpy as np
 
 import fpkit as fp
+from fpkit.enrichment import DEFAULT_SLACK
 from fpkit.errors import DimensionMismatch, NonFiniteResult, ParameterOutOfRange
 from fpkit.iteration import DIVERGENCE_GRACE, DIVERGENCE_WINDOW
-from fpkit.spaces import as_vector
+from fpkit.spaces import as_vector, norms_rowwise
 
 FAMILY_SEED = 2000
 B_GRID = (0.0, 0.5, 1.0, 3.0)
@@ -124,6 +127,80 @@ def reference_picard(
         iterations=len(residuals),
         norm_kind=norm_kind,
         iterates=iterates,
+    )
+
+
+def reference_draw(sampler: fp.PairSampler, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The straightforward pair draw, the reference for ``fp.PairSampler.draw``.
+
+    Near and far pairs are drawn into arrays of their own with
+    ``rng.uniform`` and stacked at the end. ``draw`` fills two preallocated
+    arrays in place; its output must equal this one bit for bit.
+    """
+    rng = np.random.default_rng(sampler.seed)
+    r = sampler.box_radius
+    n_near = int(round(sampler.count * sampler.near_pair_fraction))
+    n_far = sampler.count - n_near
+
+    x_near = rng.uniform(-r, r, size=(n_near, dim))
+    dirs = rng.standard_normal(size=(n_near, dim))
+    lens = np.linalg.norm(dirs, axis=1)
+    while np.any(lens == 0.0):
+        bad = lens == 0.0
+        dirs[bad] = rng.standard_normal(size=(int(bad.sum()), dim))
+        lens = np.linalg.norm(dirs, axis=1)
+    mags = np.exp(rng.uniform(math.log(1e-4 * r), math.log(1e-3 * r), size=n_near))
+    y_near = x_near + dirs * (mags / lens)[:, None]
+
+    x_far = rng.uniform(-r, r, size=(n_far, dim))
+    y_far = rng.uniform(-r, r, size=(n_far, dim))
+    floor = 1e-14 * r
+    while True:
+        bad = np.linalg.norm(x_far - y_far, axis=1) < floor
+        if not bad.any():
+            break
+        k = int(bad.sum())
+        x_far[bad] = rng.uniform(-r, r, size=(k, dim))
+        y_far[bad] = rng.uniform(-r, r, size=(k, dim))
+
+    return np.vstack([x_near, x_far]), np.vstack([y_near, y_far])
+
+
+def reference_verify(
+    mapping: fp.Mapping,
+    b: float,
+    kind: fp.ConditionKind,
+    sampler: fp.PairSampler,
+    *,
+    slack: float = DEFAULT_SLACK,
+    norm_kind: fp.NormKind = fp.NormKind.L2,
+) -> fp.EnrichmentReport:
+    """The whole-batch sampled check, the reference for ``fp.verify_condition``.
+
+    Scores all pairs of ``reference_draw`` in one pass. ``verify_condition``
+    scores them in row blocks; its reports must equal this one's bit for bit.
+    """
+    kind = fp.ConditionKind(kind)
+    xs, ys = reference_draw(sampler, mapping.dim)
+    diffs = xs - ys
+    lhs = norms_rowwise(
+        b * diffs + fp.evaluate_many(mapping, xs) - fp.evaluate_many(mapping, ys), norm_kind
+    )
+    rhs = norms_rowwise(diffs, norm_kind)
+    if kind is fp.ConditionKind.ENRICHED:
+        rhs = (b + 1.0) * rhs
+    ratios = lhs / rhs
+    idx = int(np.argmax(ratios))
+    max_ratio = float(ratios[idx])
+    return fp.EnrichmentReport(
+        kind=kind,
+        b=b,
+        pairs_tested=sampler.count,
+        max_ratio=max_ratio,
+        witness_x=xs[idx].copy(),
+        witness_y=ys[idx].copy(),
+        passed=max_ratio <= 1.0 + slack,
+        slack=slack,
     )
 
 

@@ -1,12 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fpkit as fp
 from fpkit import spaces
 from fpkit.enrichment import B_TOL
-from fpkit.errors import ParameterOutOfRange
+from fpkit.errors import NonFiniteResult, ParameterOutOfRange
 
-from _family import family50, reduction_identity_gap, separated_pairs
+from _family import (
+    family50,
+    reduction_identity_gap,
+    reference_draw,
+    reference_verify,
+    separated_pairs,
+)
 
 T_LINE = fp.line_map(-2.0, 100.0)  # x -> 100 - 2x, the running demo map
 
@@ -135,6 +143,54 @@ def test_sampler_validation():
         fp.PairSampler(near_pair_fraction=1.5)
     with pytest.raises(ParameterOutOfRange):
         fp.PairSampler(box_radius=0.0)
+    # Uniform draws scale by 2 * box_radius, which must be finite.
+    for r in (1e308, float(np.finfo(float).max)):
+        with pytest.raises(ParameterOutOfRange, match="box_radius"):
+            fp.PairSampler(box_radius=r)
+    fp.PairSampler(box_radius=8e307)
+    for dim in (2.5, 0, True):
+        with pytest.raises(ParameterOutOfRange, match="dim"):
+            fp.PairSampler().draw(dim)
+
+
+def _reference_grid():
+    """Seeds 0-39 by d in {1, 2, 3, 8, 17, 64}: odd counts that end in a
+    partial row block at d = 8, 17 and 64, all-far and all-near samples, and
+    affine and box-projected maps. Yields (sampler, mapping, b)."""
+    counts = (1, 3, 513, 1027, 2049, 4097, 777, 99)
+    for seed in range(40):
+        for d in (1, 2, 3, 8, 17, 64):
+            count = counts[seed % 8] + 2 * (seed % 3)
+            frac = (0.0, 1.0, 0.2, 0.37)[seed % 4]
+            sampler = fp.PairSampler(seed=seed, count=count, near_pair_fraction=frac)
+            rng = np.random.default_rng(seed)
+            mapping = fp.Affine(rng.standard_normal((d, d)), rng.standard_normal(d))
+            if seed % 2:
+                mapping = fp.Composition([mapping, fp.BoxProjection(-np.ones(d), np.ones(d))])
+            yield sampler, mapping, (0.0, 0.5, 1.0, 3.0)[(seed + d) % 4]
+
+
+def test_draw_matches_the_reference_bit_for_bit():
+    for sampler, mapping, _ in _reference_grid():
+        xs, ys = sampler.draw(mapping.dim)
+        ref_xs, ref_ys = reference_draw(sampler, mapping.dim)
+        np.testing.assert_array_equal(xs, ref_xs)
+        np.testing.assert_array_equal(ys, ref_ys)
+
+
+def test_verify_matches_the_whole_batch_reference_bit_for_bit():
+    checks = 0
+    for sampler, mapping, b in _reference_grid():
+        for kind in fp.ConditionKind:
+            for norm_kind in fp.NormKind:
+                got = fp.verify_condition(mapping, b, kind, sampler, norm_kind=norm_kind)
+                want = reference_verify(mapping, b, kind, sampler, norm_kind=norm_kind)
+                assert repr(got.max_ratio) == repr(want.max_ratio), (sampler, b, kind, norm_kind)
+                np.testing.assert_array_equal(got.witness_x, want.witness_x)
+                np.testing.assert_array_equal(got.witness_y, want.witness_y)
+                assert got.passed == want.passed and got.pairs_tested == want.pairs_tested
+                checks += 1
+    assert checks == 1440
 
 
 # --- sampled verification ---
@@ -184,6 +240,53 @@ def test_report_invariants_hold_either_way():
 def test_verify_rejects_negative_b():
     with pytest.raises(ParameterOutOfRange):
         fp.verify_condition(T_LINE, -1.0, fp.ConditionKind.MODIFIED)
+
+
+def test_unknown_kinds_and_norms_are_typed_errors():
+    A = np.array([[-2.0]])
+    for call in (
+        lambda kind, nk: fp.verify_condition(T_LINE, 1.0, kind, norm_kind=nk),
+        lambda kind, nk: fp.condition_ratio(T_LINE, 1.0, kind, [0.0], [1.0], nk),
+        lambda kind, nk: fp.min_b_affine(A, kind, nk),
+    ):
+        with pytest.raises(ParameterOutOfRange, match="unknown norm 'l3'"):
+            call(fp.ConditionKind.ENRICHED, "l3")
+        with pytest.raises(ParameterOutOfRange, match="unknown condition kind 'weak'"):
+            call("weak", fp.NormKind.L2)
+
+
+def test_verify_on_a_huge_box_is_not_nan():
+    # Squared l2 distances overflow at this radius; the row norms rescale,
+    # so the line x -> 1 - 2x keeps its exact enriched ratio at b = 1.
+    rep = fp.verify_condition(
+        fp.line_map(-2.0, 1.0), 1.0, fp.ConditionKind.ENRICHED,
+        fp.PairSampler(box_radius=1e200, count=10),
+    )
+    assert rep.max_ratio == pytest.approx(0.5, rel=1e-12)
+    assert rep.passed
+
+
+def test_verify_overflowing_mapping_raises_non_finite():
+    with pytest.raises(
+        NonFiniteResult, match="^mapping evaluation overflowed to a non-finite vector$"
+    ):
+        fp.verify_condition(fp.scaling_map(1e307, 2), 1.0, fp.ConditionKind.ENRICHED)
+
+
+def test_verify_memory_is_about_the_pair_arrays():
+    # Two (10_000, 64) float64 pair arrays take 10.24 MB; a whole-batch pass
+    # over them peaked near 29.4 MB of numpy temporaries.
+    (mapping,) = fp.generate_affine_family(0, 64, np.linspace(0.1, 1.8, 64), 1)
+    sampler = fp.PairSampler(count=10_000)
+    fp.verify_condition(mapping, 1.0, fp.ConditionKind.ENRICHED, sampler)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fp.verify_condition(mapping, 1.0, fp.ConditionKind.ENRICHED, sampler)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2 * 10_000 * 64 * 8, peak
 
 
 # --- the reduction identity ---
@@ -372,6 +475,35 @@ def test_modified_min_b_bracket_keeps_answers_near_b_cap(norm_kind):
             assert got is None, a
         else:
             assert got == pytest.approx(want, abs=B_TOL), a
+
+
+def _feasible_modified_family():
+    """A = -b0*I + M with ||M|| < 1 in the norm under test, so the modified
+    condition holds at b = b0: b0 in [0.5, 50], d in {2, 4, 8}."""
+    for norm_kind, ord_ in ((fp.NormKind.L1, 1), (fp.NormKind.L2, 2), (fp.NormKind.LINF, np.inf)):
+        for d in (2, 4, 8):
+            for seed in range(10):
+                rng = np.random.default_rng(7000 + seed)
+                M = rng.standard_normal((d, d))
+                M *= rng.uniform(0.1, 0.9) / np.linalg.norm(M, ord_)
+                b0 = rng.uniform(0.5, 50.0)
+                yield norm_kind, ord_, -b0 * np.eye(d) + M
+
+
+def test_modified_min_b_is_least_on_feasible_family():
+    # Every answer exists; it is feasible, and stepping 1e-6 relative below
+    # it is not. Most answers are far from 0, so the bisection after the
+    # golden-section search decides them.
+    positive = 0
+    for norm_kind, ord_, A in _feasible_modified_family():
+        kind = fp.ConditionKind.MODIFIED
+        b = fp.min_b_affine(A, kind, norm_kind)
+        assert b is not None, (norm_kind, A)
+        assert _np_gap(A, kind, b, ord_)[0] <= 1e-12, (norm_kind, b)
+        if b > 0.0:
+            positive += 1
+            assert _np_gap(A, kind, b - 1e-6 * max(1.0, b), ord_)[0] > 0.0, (norm_kind, b)
+    assert positive >= 80
 
 
 def test_min_b_operator_norm_budget(monkeypatch):

@@ -65,7 +65,7 @@ def test_config_validation_names_the_offending_field():
     with pytest.raises(ConfigError, match="^output_dir:"):
         demo_config(output_dir=5)
     # A float count is refused before any pairs are drawn.
-    for sampler in ({"seed": -1}, {"seed": 1.5}, {"count": 1e9}):
+    for sampler in ({"seed": -1}, {"seed": 1.5}, {"count": 1e9}, {"box_radius": 1e308}):
         with pytest.raises(ConfigError, match="^sampler:"):
             demo_config(sampler=sampler)
     for name, value in (("box_radius", True), ("box_radius", "x"), ("near_pair_fraction", False)):

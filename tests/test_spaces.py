@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fpkit as fp
-from fpkit.errors import InvariantViolation
+from fpkit.errors import InvariantViolation, ParameterOutOfRange
 from fpkit.spaces import as_vector, norms_rowwise
 
 from _family import reference_norm
@@ -58,6 +58,33 @@ def test_tiny_nonzero_vectors_have_positive_accurate_norms():
             assert by_row[0] > 0.0 and by_row[1] == 0.0, (v, kind)
             assert [repr(float(n)) for n in by_row] == [repr(fp.norm(r, kind)) for r in rows]
         assert fp.norm(v, fp.NormKind.L2) == pytest.approx(l2, rel=1e-15, abs=0.0)
+
+
+def test_overflowing_rows_have_finite_accurate_norms():
+    # Entries above ~1.3e154 square to inf, so the plain row-wise
+    # sqrt(sum of squares) reads inf for finite rows; the rescale must not.
+    # A norm past the float range, or of a row holding inf, is inf.
+    rows = np.array([
+        [1e200, -1e200], [1e308, 1e308], [1e200, 3.0],
+        [1.7e308, 1.7e308], [np.inf, 1.0], [3.0, 4.0],
+    ])
+    got = norms_rowwise(rows, fp.NormKind.L2)
+    assert got[:3] == pytest.approx(np.hypot(rows[:3, 0], rows[:3, 1]), rel=1e-15, abs=0.0)
+    assert list(got[3:]) == [np.inf, np.inf, 5.0]
+
+
+def test_norm_rejects_empty_vectors_and_unknown_kinds():
+    for kind in ALL_KINDS:
+        with pytest.raises(InvariantViolation, match="non-empty"):
+            fp.norm([], kind)
+    for call in (
+        lambda: fp.norm([1.0], "l3"),
+        lambda: norms_rowwise(np.ones((2, 2)), "l3"),
+        lambda: fp.operator_norm(np.eye(2), "l3"),
+        lambda: fp.picard(fp.line_map(0.5, 1.0), [0.0], norm_kind="l3"),
+    ):
+        with pytest.raises(ParameterOutOfRange, match="unknown norm 'l3'"):
+            call()
 
 
 def test_operator_norm_identity_is_one_in_every_kind():
