@@ -26,7 +26,15 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, SearchBudgetExceeded
 from .mappings import LinearCombinationWithIdentity, Mapping, evaluate_many
-from .spaces import OPERATOR_NORMS, NormKind, as_matrix, as_norm_kind, is_number, norms_rowwise
+from .spaces import (
+    _L2_SCALE,
+    OPERATOR_NORMS,
+    NormKind,
+    as_matrix,
+    as_norm_kind,
+    is_number,
+    norms_rowwise,
+)
 
 B_CAP = 1e6  # search ceiling for min_b_affine
 B_TOL = 1e-8  # min_b_affine returns the least feasible b to within this
@@ -224,10 +232,24 @@ def _condition_ratios(
     norm_kind: NormKind,
 ) -> np.ndarray:
     diffs = xs - ys
-    lhs = norms_rowwise(b * diffs + evaluate_many(mapping, xs) - evaluate_many(mapping, ys), norm_kind)
-    rhs = norms_rowwise(diffs, norm_kind)
-    if kind is ConditionKind.ENRICHED:
-        rhs = (b + 1.0) * rhs
+    factor = b + 1.0 if kind is ConditionKind.ENRICHED else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = norms_rowwise(b * diffs + evaluate_many(mapping, xs) - evaluate_many(mapping, ys), norm_kind)
+        rhs = factor * norms_rowwise(diffs, norm_kind)
+        # On boxes near the radius limit a side can overflow although every
+        # operand is finite. Those rows are rescored with every operand
+        # scaled by the same power of two, which is exact, so their ratio is
+        # unchanged and the other rows keep their bits.
+        huge = ~(np.isfinite(lhs) & np.isfinite(rhs))
+        if huge.any():
+            scaled = diffs[huge] / _L2_SCALE
+            lhs[huge] = norms_rowwise(
+                b * scaled
+                + evaluate_many(mapping, xs[huge]) / _L2_SCALE
+                - evaluate_many(mapping, ys[huge]) / _L2_SCALE,
+                norm_kind,
+            )
+            rhs[huge] = factor * norms_rowwise(scaled, norm_kind)
     return lhs / rhs
 
 

@@ -3,6 +3,9 @@
 ``picard`` iterates x <- T(x) under a residual stop rule. ``krasnoselskij``
 is literally Picard applied to the averaged map (1-lambda)*x + lambda*T(x);
 the two schemes share one code path, so their traces agree bit for bit.
+``picard`` first folds each affine subtree of the mapping into one
+``Affine`` (``mappings.collapse``); its traces are bit for bit those of the
+reference loop over the folded tree.
 ``solve_modified`` packages the contraction guarantee: when T is
 b-modified-enriched with b > 0, the averaged map with lambda = 1/(b+1) is a
 Banach contraction with factor lambda, and Krasnoselskij iteration converges
@@ -27,7 +30,7 @@ from .enrichment import (
     verify_condition,
 )
 from .errors import DimensionMismatch, InsufficientData, NonFiniteResult, ParameterOutOfRange
-from .mappings import Mapping, _apply, evaluate
+from .mappings import Mapping, _apply, collapse, evaluate
 from .spaces import VECTOR_NORMS, NormKind, as_norm_kind, as_vector, is_number, norm
 
 # A run is declared diverged once the residual has grown on this many
@@ -104,14 +107,17 @@ def picard(
     initial grace period, or when evaluation overflows to non-finite values
     (that step is not recorded).
 
-    ``x0`` and its dimension are validated once, before the loop; each step
-    then applies the mapping directly, since every variant maps a float64
-    vector to one of the same shape, and takes one norm of the new iterate.
-    A finite norm proves every entry finite, so only a step whose norm is
-    infinite or NaN tests its entries: non-finite entries end the run
-    unrecorded, while finite entries whose norm overflowed are recorded and
-    then trip ``norm_cap``. Traces are bit for bit those of calling
-    ``evaluate`` and ``norm`` on every step.
+    ``x0`` and its dimension are validated once, before the loop. The
+    mapping is then folded once by ``collapse``, so an affine tree (such as
+    the averaged map of an affine T) costs one matrix-vector product per
+    step. Each step applies the folded mapping directly, since every variant
+    maps a float64 vector to one of the same shape, and takes one norm of
+    the new iterate. A finite norm proves every entry finite, so only a step
+    whose norm is infinite or NaN tests its entries: non-finite entries end
+    the run unrecorded, while finite entries whose norm overflowed are
+    recorded and then trip ``norm_cap``. Traces are bit for bit those of
+    calling ``evaluate`` and ``norm`` on every step of ``collapse(mapping)``;
+    against the unfolded tree, iterates may differ in their last bits.
     """
     stop = stop if stop is not None else StopRule()
     norm_kind = as_norm_kind(norm_kind)
@@ -121,6 +127,7 @@ def picard(
         raise DimensionMismatch(
             f"mapping of dimension {mapping.dim} iterated from x0 of dimension {x.size}"
         )
+    mapping = collapse(mapping)
     eps_abs, eps_rel, norm_cap = stop.eps_abs, stop.eps_rel, stop.norm_cap
 
     residuals: list[float] = []

@@ -276,6 +276,59 @@ def as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
     raise TypeError(f"not a Mapping: {m!r}")
 
 
+def collapse(m: Mapping) -> Mapping:
+    """An equivalent tree in which each maximal affine-representable subtree is one Affine.
+
+    One bottom-up pass: children are collapsed first, and a rotation, or a
+    linear combination over a base that collapsed to an ``Affine`` or
+    ``Identity``, is folded through ``as_affine``. In a composition each run
+    of two or more adjacent foldable stages becomes one stage. Box
+    projections, and the nodes above them, keep their shape with collapsed
+    children. A lone ``Affine`` or ``Identity`` is returned as it is.
+
+    A fold whose matrix or offset overflows is not taken: that subtree keeps
+    its shape. Wherever the tree's arithmetic stays finite, the result maps
+    each input to the tree's image up to rounding: a fold applies one
+    matrix-vector product instead of one per node, so its last bits may
+    differ.
+    """
+    match m:
+        case Rotation():
+            return _folded(m) or m
+        case LinearCombinationWithIdentity(alpha=a, beta=b, base=base):
+            node = LinearCombinationWithIdentity(a, b, collapse(base))
+            if isinstance(node.base, (Affine, Identity)):
+                return _folded(node) or node
+            return node
+        case Composition(stages=stages):
+            out, run = [], []
+            for s in map(collapse, stages):
+                if isinstance(s, (Affine, Identity)):
+                    run.append(s)
+                    continue
+                out += _folded_run(run)
+                out.append(s)
+                run = []
+            out += _folded_run(run)
+            return out[0] if len(out) == 1 else Composition(tuple(out))
+    return m
+
+
+def _folded(m: Mapping) -> Affine | None:
+    """``Affine(*as_affine(m))``, or None when that form is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, c = as_affine(m)
+    if not (np.isfinite(A).all() and np.isfinite(c).all()):
+        return None
+    return Affine(A, c)
+
+
+def _folded_run(run: list) -> list:
+    """Adjacent composition stages as one folded stage, or as they are."""
+    folded = _folded(Composition(tuple(run))) if len(run) > 1 else None
+    return run if folded is None else [folded]
+
+
 def line_map(slope: float, intercept: float) -> Affine:
     """1-D affine convenience: x -> slope*x + intercept."""
     return Affine(np.array([[float(slope)]]), np.array([float(intercept)]))

@@ -74,9 +74,10 @@ def reference_picard(
 
     Every step goes through ``fp.evaluate`` (validation, errstate, finite
     check) and takes the iterate's norm twice through ``reference_norm``.
-    ``fp.picard`` validates once, applies the mapping directly and takes one
-    norm of each iterate; its traces must equal this loop's bit for bit.
-    Slow and only for comparisons.
+    ``fp.picard`` validates once, folds the mapping with
+    ``fpkit.mappings.collapse``, applies the folded mapping directly and takes
+    one norm of each iterate; its traces must equal this loop's over
+    ``collapse(mapping)`` bit for bit. Slow and only for comparisons.
     """
     stop = stop if stop is not None else fp.StopRule()
     norm_kind = fp.NormKind(norm_kind)

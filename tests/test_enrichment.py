@@ -266,6 +266,28 @@ def test_verify_on_a_huge_box_is_not_nan():
     assert rep.passed
 
 
+def test_verify_near_the_box_limit_does_not_overflow_the_condition():
+    # At radius 4e307 every operand is finite, but b*(x-y) + Tx - Ty, the
+    # right-hand side (b+1)*||x-y|| and l1 sums over two entries overflow.
+    # Overflowing rows are rescored in exactly scaled units, so every pair
+    # keeps the map's exact ratio: 1 for the modified line at b = 3, 0.25 for
+    # x -> -2x enriched at b = 3, 1 for the 2-d modified shift at b = 3, up
+    # to the cancellation in Tx - Ty of near pairs 1e-4 * r apart (~1e-12).
+    sampler = fp.PairSampler(box_radius=4e307, count=100)
+    cases = [
+        (fp.line_map(-2.0, 100.0), fp.ConditionKind.MODIFIED, 1.0),
+        (fp.line_map(-2.0, 0.0), fp.ConditionKind.ENRICHED, 0.25),
+        (fp.scaling_map(-2.0, 2), fp.ConditionKind.MODIFIED, 1.0),
+    ]
+    for mapping, kind, want in cases:
+        for nk in fp.NormKind:
+            rep = fp.verify_condition(mapping, 3.0, kind, sampler, norm_kind=nk)
+            assert rep.max_ratio == pytest.approx(want, rel=1e-10), (kind, nk)
+            assert rep.passed
+            x, y = rep.witness_x, rep.witness_y
+            assert fp.condition_ratio(mapping, 3.0, kind, x, y, nk) == rep.max_ratio
+
+
 def test_verify_overflowing_mapping_raises_non_finite():
     with pytest.raises(
         NonFiniteResult, match="^mapping evaluation overflowed to a non-finite vector$"

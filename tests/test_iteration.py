@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import fpkit as fp
 from fpkit.errors import DimensionMismatch, InsufficientData, ParameterOutOfRange
+from fpkit.mappings import collapse
 
 from _family import apriori_iterations_exact, reference_norm, reference_picard
 
@@ -126,24 +128,50 @@ def _loop_cases():
 
 @pytest.mark.parametrize("kind", [fp.NormKind.L1, fp.NormKind.L2, fp.NormKind.LINF])
 def test_schemes_match_the_reference_loop_bit_for_bit(kind):
+    # picard iterates collapse(mapping), so the reference loop runs over the
+    # collapsed tree too.
     stop = fp.StopRule(max_iter=400)
     lam, b = 0.25, 3.0
     for name, m, x0 in _loop_cases():
         for store in (False, True):
-            want = reference_picard(m, x0, stop, kind, store_iterates=store)
+            want = reference_picard(collapse(m), x0, stop, kind, store_iterates=store)
             assert_same_trace(fp.picard(m, x0, stop, kind, store_iterates=store), want)
 
-            want = reference_picard(fp.averaged(m, lam), x0, stop, kind, store_iterates=store)
+            want = reference_picard(collapse(fp.averaged(m, lam)), x0, stop, kind,
+                                    store_iterates=store)
             assert_same_trace(fp.krasnoselskij(m, lam, x0, stop, kind, store_iterates=store), want)
 
             res = fp.solve_modified(m, b, x0, stop, kind, store_iterates=store)
-            want = reference_picard(fp.averaged(m, 1.0 / (b + 1.0)), x0, stop, kind,
+            want = reference_picard(collapse(fp.averaged(m, 1.0 / (b + 1.0))), x0, stop, kind,
                                     store_iterates=store)
             assert_same_trace(res.trace, want)
             assert res.fixed_point.tobytes() == want.final.tobytes()
+            # residual_T evaluates the original tree, not the collapsed one.
             assert repr(res.residual_T) == repr(
                 reference_norm(fp.evaluate(m, want.final) - want.final, kind)
             ), name
+
+
+@pytest.mark.parametrize("kind", [fp.NormKind.L1, fp.NormKind.L2, fp.NormKind.LINF])
+def test_collapsed_traces_stay_close_to_the_tree(kind):
+    # Folding changes only rounding: each run against the unfolded tree
+    # stops the same way after the same number of steps, and converged
+    # runs land on the same point to 1e-12 relative.
+    stop = fp.StopRule(max_iter=400)
+    lam, b = 0.25, 3.0
+    for name, m, x0 in _loop_cases():
+        runs = [
+            (fp.picard(m, x0, stop, kind), m),
+            (fp.krasnoselskij(m, lam, x0, stop, kind), fp.averaged(m, lam)),
+            (fp.solve_modified(m, b, x0, stop, kind).trace, fp.averaged(m, 1.0 / (b + 1.0))),
+        ]
+        for got, tree in runs:
+            want = reference_picard(tree, x0, stop, kind)
+            assert got.status is want.status, name
+            assert got.iterations == want.iterations, name
+            if want.status is fp.Status.CONVERGED:
+                gap = np.linalg.norm(got.final - want.final)
+                assert gap <= 1e-12 * np.linalg.norm(want.final), name
 
 
 def test_picard_evaluation_overflow_ends_diverged_unrecorded():
@@ -162,6 +190,8 @@ def test_picard_nan_step_ends_diverged_unrecorded():
     # climb 1e50, 1e100, ..., 1e300 (l2 norms overflow from 1e200 on, and
     # with no norm cap those steps are recorded). Then y overflows and
     # inf - inf gives NaN: that step ends the run and is not recorded.
+    # picard folds the tree to x -> 1e50 x, whose seventh step is inf
+    # instead of NaN; the trace is the tree's all the same.
     double_less_one = fp.LinearCombinationWithIdentity(2.0, -1.0, fp.Identity(1))
     m = fp.Composition((fp.scaling_map(1e50), double_less_one))
     stop = fp.StopRule(norm_cap=math.inf)
@@ -175,6 +205,40 @@ def test_picard_nan_step_ends_diverged_unrecorded():
         assert_same_trace(tr, quiet_reference(m, [1.0], stop, kind, store_iterates=True))
     l2 = fp.picard(m, [1.0], stop)
     assert l2.residuals[-3:] == [math.inf] * 3
+
+
+def test_picard_nan_step_in_an_unfoldable_subtree_ends_diverged_unrecorded():
+    # x -> 1e300 x - 1e300 clip(x) + 1e9 cannot fold (the box has no affine
+    # form). From 0 the first step lands on 1e9. At 1e9 both products
+    # overflow and inf - inf gives NaN inside picard: that step ends the run
+    # and is not recorded.
+    shift = fp.Affine(np.eye(1), [1e9])
+    m = fp.Composition((fp.LinearCombinationWithIdentity(
+        1e300, -1e300, fp.BoxProjection([-1e10], [1e10])), shift))
+    assert collapse(m) == m
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(fp.mappings._apply(collapse(m), np.array([1e9]))[0])
+    for kind in fp.NormKind:
+        tr = fp.picard(m, [0.0], norm_kind=kind, store_iterates=True)
+        assert tr.status is fp.Status.DIVERGED
+        assert tr.iterations == 1 and tr.residuals == [1e9]
+        assert tr.final.tolist() == [1e9]
+        assert_same_trace(tr, reference_picard(m, [0.0], norm_kind=kind, store_iterates=True))
+
+
+def test_picard_keeps_a_subtree_whose_fold_overflows():
+    # The fold of 1e200 * 1e200 overflows, so the composition is iterated as
+    # it stands: from 1e-300 the first step is exactly 1e100, and the norm
+    # cap ends the run there, as on the unfolded tree. No warning escapes.
+    m = fp.Composition((fp.scaling_map(1e200), fp.scaling_map(1e200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert collapse(m) == m
+        for kind in fp.NormKind:
+            tr = fp.picard(m, [1e-300], norm_kind=kind)
+            assert tr.status is fp.Status.DIVERGED
+            assert tr.residuals == [1e100] and tr.final.tolist() == [1e100]
+            assert_same_trace(tr, reference_picard(m, [1e-300], norm_kind=kind))
 
 
 def test_picard_norm_overflow_on_finite_entries_is_recorded_then_capped():

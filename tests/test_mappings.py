@@ -97,6 +97,78 @@ def test_as_affine_faithful_on_seeded_points():
             np.testing.assert_allclose(fp.evaluate(m, x), Anf @ x + cnf, atol=1e-12)
 
 
+# --- collapse ---
+
+
+def _collapse_cases():
+    rng = np.random.default_rng(29)
+    A, c = rng.normal(size=(3, 3)), rng.normal(size=3)
+    box3 = fp.BoxProjection(-np.ones(3), 2.0 * np.ones(3))
+    box2 = fp.BoxProjection([-1.0, 0.0], [1.0, 0.5])
+    a64 = fp.generate_affine_family(5, 64, np.linspace(1.4, 0.3, 64), 1)[0]
+    return [
+        fp.Affine(A, c),
+        fp.Composition((fp.Affine(A, c), fp.Affine(-A, 2.0 * c))),
+        fp.Rotation(1.1),
+        fp.Composition((fp.Rotation(0.4), fp.Rotation(-1.3))),
+        fp.averaged(fp.Affine(A, c), 0.25),
+        fp.averaged(a64, 0.5),
+        fp.modified_shift(fp.averaged(fp.Identity(3), 0.3), 2.0),
+        fp.Composition((fp.Affine(A, c), box3)),
+        fp.averaged(fp.Composition((fp.Affine(A, c), box3)), 0.25),
+        fp.Composition((fp.Rotation(0.9), fp.Identity(2), box2, fp.Rotation(2.0), fp.Rotation(0.5))),
+        fp.Composition((box3, fp.averaged(fp.Affine(A, c), 0.5), fp.Affine(A, -c), box3)),
+    ]
+
+
+def test_collapse_leaves_evaluation_unchanged():
+    rng = np.random.default_rng(41)
+    for m in _collapse_cases():
+        folded = fp.mappings.collapse(m)
+        xs = rng.uniform(-20.0, 20.0, (200, m.dim))
+        want = fp.evaluate_many(m, xs)
+        got = np.array([fp.evaluate(folded, x) for x in xs])
+        gap = np.linalg.norm(got - want, axis=1)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(want, axis=1)), m
+
+
+def test_collapse_folds_maximal_affine_subtrees():
+    collapse = fp.mappings.collapse
+    A, c = np.array([[0.5, 1.0], [0.0, -2.0]]), np.array([1.0, 3.0])
+    box = fp.BoxProjection([-1.0, 0.0], [1.0, 0.5])
+    lone = fp.Affine(A, c)
+    assert collapse(lone) is lone
+    ident = fp.Identity(2)
+    assert collapse(ident) is ident
+    assert collapse(box) is box
+    # A whole affine tree becomes one Affine, with as_affine's (A, c).
+    tree = fp.averaged(fp.Composition((fp.Rotation(0.3), lone)), 0.25)
+    folded = collapse(tree)
+    assert folded == fp.Affine(*fp.as_affine(tree))
+    # Box projections and the nodes above them keep their shape, with each
+    # run of adjacent affine stages folded into one stage.
+    mixed = fp.averaged(fp.Composition((fp.Rotation(0.3), lone, box, ident, lone)), 0.5)
+    got = collapse(mixed)
+    assert isinstance(got, fp.LinearCombinationWithIdentity)
+    assert (got.alpha, got.beta) == (0.5, 0.5)
+    stages = got.base.stages
+    assert len(stages) == 3
+    assert stages[0] == fp.Affine(*fp.as_affine(fp.Composition((fp.Rotation(0.3), lone))))
+    assert stages[1] is box
+    assert stages[2] == fp.Affine(*fp.as_affine(fp.Composition((ident, lone))))
+
+
+def test_collapse_keeps_a_fold_that_overflows():
+    # as_affine of this pair overflows to an inf matrix; collapse keeps the
+    # tree and lets no warning escape.
+    big = fp.Composition((fp.scaling_map(1e200), fp.scaling_map(1e200)))
+    with np.errstate(over="ignore"):
+        assert np.isinf(fp.as_affine(big)[0]).all()
+    assert fp.mappings.collapse(big) == big
+    lincomb = fp.averaged(big, 0.5)
+    assert fp.mappings.collapse(lincomb) == lincomb
+
+
 # --- structural invariants ---
 
 
