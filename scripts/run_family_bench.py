@@ -23,9 +23,9 @@ def main() -> None:
     svals = [args.top] + [max(0.5 * args.top, 0.05)] * (args.dim - 1)
     family = fp.generate_affine_family(args.seed, args.dim, svals, args.count)
     schemes = [
-        fp.BenchScheme(scheme=fp.Scheme.PICARD),
-        fp.BenchScheme(scheme=fp.Scheme.KRASNOSELSKIJ, lam=0.25),
-        fp.BenchScheme(scheme=fp.Scheme.SOLVE_MODIFIED, b=3.0),
+        {"scheme": "picard"},
+        {"scheme": "krasnoselskij", "lambda": 0.25},
+        {"scheme": "solve_modified", "b": 3.0},
     ]
     rows = fp.bench_compare(family, schemes, stop=fp.StopRule(eps_abs=1e-9))
 

@@ -143,10 +143,12 @@ class PairSampler:
                 raise ParameterOutOfRange(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 <= self.near_pair_fraction <= 1.0:
             raise ParameterOutOfRange("near_pair_fraction must lie in [0, 1]")
-        # Uniform draws scale by the box's width 2r, which must be finite.
-        if not self.box_radius > 0.0 or not math.isfinite(2.0 * self.box_radius):
+        # Uniform draws scale by the box's width 2r, which must be finite, and
+        # near pairs by separations from 1e-4 r, which must not round to 0.
+        if not 1e-4 * self.box_radius > 0.0 or not math.isfinite(2.0 * self.box_radius):
             raise ParameterOutOfRange(
-                f"box_radius must be positive with 2*box_radius finite, got {self.box_radius!r}"
+                f"box_radius must keep 1e-4*box_radius > 0 and 2*box_radius finite, "
+                f"got {self.box_radius!r}"
             )
 
     def draw(self, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,12 +5,19 @@ A run directory contains ``config.json`` (the canonicalized config echo),
 ``trace.csv`` (iteration trace; header only for schemes that do not iterate)
 and ``summary.json``. Identical configs produce byte-identical trace files;
 ``summary.json`` differs only in wall time.
+
+Every document level reads its fields through one table, ``_FIELDS``, and
+refuses any other field. Every run, an experiment or a ``bench`` cell, goes
+through one scheme dispatch, ``_dispatch``.
 """
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,7 +52,7 @@ from .iteration import (
     write_trace_csv,
 )
 from .mappings import Affine, Mapping, _num, as_affine, parse_mapping, serialize_mapping
-from .spaces import DIM_CAP, NormKind, as_vector, is_number, norm
+from .spaces import DIM_CAP, NormKind, as_vector
 
 
 class Scheme(str, Enum):
@@ -77,130 +84,112 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def validate(self) -> None:
-        scheme = self.scheme
-        if scheme in _ITERATIVE:
+        _check_parameters(self.scheme, self.b, self.lam, self.kind)
+        if self.scheme in _ITERATIVE:
             if self.x0 is None:
-                raise ConfigError(f"x0: required for scheme {scheme.value}")
+                raise ConfigError(f"x0: required for scheme {self.scheme.value}")
             if self.x0.size != self.mapping.dim:
                 raise ConfigError(
                     f"x0: dimension {self.x0.size} does not match mapping dimension {self.mapping.dim}"
                 )
-        if scheme is Scheme.KRASNOSELSKIJ:
-            if self.lam is None or not (0.0 < self.lam < 1.0):
-                raise ConfigError(f"lambda: must lie in (0, 1) for scheme krasnoselskij, got {self.lam}")
-        if scheme is Scheme.SOLVE_MODIFIED:
-            if self.b is None or not self.b > 0.0:
-                raise ConfigError(f"b: must be > 0 for scheme solve_modified, got {self.b}")
-        if scheme is Scheme.VERIFY:
-            if self.b is None or self.b < 0.0:
-                raise ConfigError(f"b: must be >= 0 for scheme verify, got {self.b}")
-            if self.kind is None:
-                raise ConfigError("kind: required for scheme verify")
-        if scheme is Scheme.MIN_B:
-            if self.kind is None:
-                raise ConfigError("kind: required for scheme min_b")
-            if as_affine(self.mapping) is None:
+        if self.scheme is Scheme.MIN_B:
+            with np.errstate(over="ignore", invalid="ignore"):
+                form = as_affine(self.mapping)
+            if form is None:
                 raise ConfigError("mapping: scheme min_b needs an affine-representable mapping")
+            if not (np.isfinite(form[0]).all() and np.isfinite(form[1]).all()):
+                raise ConfigError("mapping: its affine form overflows to non-finite entries")
 
     def effective_sampler(self) -> PairSampler:
         return self.sampler if self.sampler is not None else PairSampler(seed=self.seed)
 
 
-def parse_config(doc: dict) -> ExperimentConfig:
-    """Build and validate an ExperimentConfig from a JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config: expected an object, got {type(doc).__name__}")
-    known = {
-        "mapping", "scheme", "norm", "b", "lambda", "kind", "x0", "stop",
-        "sampler", "slack", "verify", "store_iterates", "seed", "output_dir",
-    }
-    unknown = doc.keys() - known
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown config field")
-    for req in ("mapping", "scheme"):
-        if req not in doc:
-            raise ConfigError(f"{req}: missing field")
+def _check_parameters(scheme: Scheme, b, lam, kind) -> None:
+    """A scheme's checks of its own parameters, which need no mapping."""
+    if scheme is Scheme.KRASNOSELSKIJ and (lam is None or not 0.0 < lam < 1.0):
+        raise ConfigError(f"lambda: must lie in (0, 1) for scheme krasnoselskij, got {lam}")
+    if scheme is Scheme.SOLVE_MODIFIED and (b is None or not b > 0.0):
+        raise ConfigError(f"b: must be > 0 for scheme solve_modified, got {b}")
+    if scheme is Scheme.VERIFY and (b is None or b < 0.0):
+        raise ConfigError(f"b: must be >= 0 for scheme verify, got {b}")
+    if scheme in (Scheme.VERIFY, Scheme.MIN_B) and kind is None:
+        raise ConfigError(f"kind: required for scheme {scheme.value}")
+
+
+# --- config schema ----------------------------------------------------------
+
+
+def _as_is(v, name: str):
+    """A field whose shape the code that consumes it checks."""
+    return v
+
+
+def _mapping(v, name: str) -> Mapping:
     try:
-        mapping = parse_mapping(doc["mapping"])
+        return parse_mapping(v)
     except (SchemaError, InvariantViolation) as e:
-        raise ConfigError(f"mapping: {e}") from e
-    try:
-        scheme = Scheme(doc["scheme"])
-    except ValueError:
-        raise ConfigError(f"scheme: unknown scheme {doc['scheme']!r}") from None
-    norm_kind = _norm_field(doc.get("norm", "l2"))
-    kind = None
-    if doc.get("kind") is not None:
+        raise ConfigError(f"{name}: {e}") from e
+
+
+def _enum(cls, what: str):
+    def parse(v, name: str):
         try:
-            kind = ConditionKind(doc["kind"])
+            return cls(v)
         except ValueError:
-            raise ConfigError(f"kind: unknown condition kind {doc['kind']!r}") from None
-    x0 = None
-    if doc.get("x0") is not None:
+            raise ConfigError(f"{name}: unknown {what} {v!r}") from None
+
+    return parse
+
+
+def _named(check):
+    """A library check whose messages already name the field."""
+
+    def parse(v, name: str):
         try:
-            x0 = as_vector(doc["x0"], name="x0")
-        except InvariantViolation as e:
-            raise ConfigError(str(e)) from e
-    try:
-        stop = StopRule(**doc.get("stop", {}))
-    except (TypeError, ParameterOutOfRange) as e:
-        raise ConfigError(f"stop: {e}") from e
-    sampler = None
-    if doc.get("sampler") is not None:
+            return check(v, name)
+        except (SchemaError, InvariantViolation) as e:
+            raise ConfigError(str(e)) from None
+
+    return parse
+
+
+_number = _named(_num)
+_vector = _named(lambda v, name: as_vector(v, name=name))
+
+
+def _slack(v, name: str) -> float:
+    v = _number(v, name)
+    if v < 0.0:
+        raise ConfigError(f"{name}: must be >= 0, got {v}")
+    return v
+
+
+def _object(cls):
+    """A nested object whose keys are the keyword arguments of ``cls``.
+
+    Its numbers must be finite, as canonical JSON has no infinity.
+    """
+
+    def parse(v, name: str):
         try:
-            sampler = PairSampler(**doc["sampler"])
+            obj = cls(**v)
         except (TypeError, ParameterOutOfRange) as e:
-            raise ConfigError(f"sampler: {e}") from e
+            raise ConfigError(f"{name}: {e}") from e
+        for key, x in dataclasses.asdict(obj).items():
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError(f"{name}: {key} must be finite, got {x!r}")
+        return obj
 
-    slack = _number(doc.get("slack", DEFAULT_SLACK), "slack")
-    if slack < 0.0:
-        raise ConfigError(f"slack: must be >= 0, got {slack}")
-
-    cfg = ExperimentConfig(
-        mapping=mapping,
-        scheme=scheme,
-        norm_kind=norm_kind,
-        b=None if doc.get("b") is None else _number(doc["b"], "b"),
-        lam=None if doc.get("lambda") is None else _number(doc["lambda"], "lambda"),
-        kind=kind,
-        x0=x0,
-        stop=stop,
-        sampler=sampler,
-        slack=slack,
-        verify=_flag(doc.get("verify", False), "verify"),
-        store_iterates=_flag(doc.get("store_iterates", False), "store_iterates"),
-        seed=_nonneg_int(doc.get("seed", 42), "seed"),
-        output_dir=_output_dir(doc),
-    )
-    cfg.validate()
-    return cfg
+    return parse
 
 
-def _output_dir(doc: dict) -> str | None:
-    v = doc.get("output_dir")
-    if v is not None and not isinstance(v, str):
-        raise ConfigError("output_dir: expected a string")
-    return v
+def _typed(cls, what: str):
+    def parse(v, name: str):
+        if not isinstance(v, cls):
+            raise ConfigError(f"{name}: expected {what}")
+        return v
 
-
-def _norm_field(v) -> NormKind:
-    try:
-        return NormKind(v)
-    except ValueError:
-        raise ConfigError(f"norm: unknown norm {v!r}") from None
-
-
-def _number(v, name: str) -> float:
-    try:
-        return _num(v, name)
-    except (SchemaError, InvariantViolation) as e:
-        raise ConfigError(str(e)) from None
-
-
-def _flag(v, name: str) -> bool:
-    if not isinstance(v, bool):
-        raise ConfigError(f"{name}: expected true or false")
-    return v
+    return parse
 
 
 def _nonneg_int(v, name: str) -> int:
@@ -210,35 +199,91 @@ def _nonneg_int(v, name: str) -> int:
     return v
 
 
+_REQUIRED = object()
+
+# name -> (parser, default). A field without a default is required; a field
+# whose default is None also accepts null.
+_FIELDS = {
+    "mapping": (_mapping, _REQUIRED),
+    "scheme": (_enum(Scheme, "scheme"), _REQUIRED),
+    "norm": (_enum(NormKind, "norm"), "l2"),
+    "b": (_number, None),
+    "lambda": (_number, None),
+    "kind": (_enum(ConditionKind, "condition kind"), None),
+    "x0": (_vector, None),
+    "stop": (_object(StopRule), {}),
+    "sampler": (_object(PairSampler), None),
+    "slack": (_slack, DEFAULT_SLACK),
+    "verify": (_typed(bool, "true or false"), False),
+    "store_iterates": (_typed(bool, "true or false"), False),
+    "seed": (_nonneg_int, 42),
+    "output_dir": (_typed(str, "a string"), None),
+    "family": (_as_is, _REQUIRED),
+    "schemes": (_as_is, _REQUIRED),
+    "dim": (_nonneg_int, _REQUIRED),
+    "singular_values": (_as_is, _REQUIRED),
+    "count": (_nonneg_int, 0),
+}
+
+# The fields each document level takes.
+_EXPERIMENT = (
+    "mapping", "scheme", "norm", "b", "lambda", "kind", "x0", "stop",
+    "sampler", "slack", "verify", "store_iterates", "seed", "output_dir",
+)
+_GENERATOR = ("seed", "dim", "singular_values", "count")
+_BENCH = ("family", "schemes", "stop", "norm", "seed", "x0", "output_dir")
+_BENCH_SCHEME = ("scheme", "lambda", "b")
+
+# ExperimentConfig attributes whose names differ from their fields'.
+_ATTRS = {"norm": "norm_kind", "lambda": "lam"}
+
+
+def _read(doc, names, prefix: str = "", **defaults) -> dict:
+    """Parse the fields ``names`` of one document level through ``_FIELDS``;
+    ``prefix`` names the level in messages, ``defaults`` override the table's."""
+    if not isinstance(doc, dict):
+        where = prefix.rstrip(".: ") or "config"
+        raise ConfigError(f"{where}: expected an object, got {type(doc).__name__}")
+    unknown = sorted(map(str, doc.keys() - set(names)))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown config field")
+    out = {}
+    for name in names:
+        parse, default = _FIELDS[name]
+        default = defaults.get(name, default)
+        if name not in doc and default is _REQUIRED:
+            raise ConfigError(f"{prefix}{name}: missing field")
+        v = doc.get(name, default)
+        out[name] = None if v is None and default is None else parse(v, prefix + name)
+    return out
+
+
+def parse_config(doc: dict) -> ExperimentConfig:
+    """Build and validate an ExperimentConfig from a JSON document."""
+    fields = _read(doc, _EXPERIMENT)
+    cfg = ExperimentConfig(**{_ATTRS.get(k, k): v for k, v in fields.items()})
+    cfg.validate()
+    return cfg
+
+
+def _plain(v):
+    """A parsed field value back as JSON."""
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, Mapping):
+        return serialize_mapping(v)
+    if isinstance(v, (StopRule, PairSampler)):
+        return dataclasses.asdict(v)
+    return v
+
+
 def config_to_doc(cfg: ExperimentConfig) -> dict:
     """Canonical JSON document for a config, with every default materialized."""
-    sampler = cfg.effective_sampler()
-    return {
-        "mapping": serialize_mapping(cfg.mapping),
-        "scheme": cfg.scheme.value,
-        "norm": cfg.norm_kind.value,
-        "b": cfg.b,
-        "lambda": cfg.lam,
-        "kind": None if cfg.kind is None else cfg.kind.value,
-        "x0": None if cfg.x0 is None else cfg.x0.tolist(),
-        "stop": {
-            "eps_abs": cfg.stop.eps_abs,
-            "eps_rel": cfg.stop.eps_rel,
-            "max_iter": cfg.stop.max_iter,
-            "norm_cap": cfg.stop.norm_cap,
-        },
-        "sampler": {
-            "seed": sampler.seed,
-            "count": sampler.count,
-            "box_radius": sampler.box_radius,
-            "near_pair_fraction": sampler.near_pair_fraction,
-        },
-        "slack": cfg.slack,
-        "verify": cfg.verify,
-        "store_iterates": cfg.store_iterates,
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-    }
+    doc = {name: _plain(getattr(cfg, _ATTRS.get(name, name))) for name in _EXPERIMENT}
+    doc["sampler"] = _plain(cfg.effective_sampler())
+    return doc
 
 
 def canonical_json(doc) -> str:
@@ -282,6 +327,56 @@ class RunSummary:
         }
 
 
+def _dispatch(cfg: ExperimentConfig) -> tuple[str, IterationTrace | None, dict]:
+    """Run a validated config's scheme. Returns its status (an FpkitError is
+    ``error:<type>``), its trace (None unless it iterates) and the RunSummary
+    fields it sets."""
+    try:
+        if cfg.scheme is Scheme.PICARD:
+            trace = picard(cfg.mapping, cfg.x0, cfg.stop, cfg.norm_kind,
+                           store_iterates=cfg.store_iterates)
+            return trace.status.value, trace, {}
+        if cfg.scheme is Scheme.KRASNOSELSKIJ:
+            trace = krasnoselskij(cfg.mapping, cfg.lam, cfg.x0, cfg.stop, cfg.norm_kind,
+                                  store_iterates=cfg.store_iterates)
+            return trace.status.value, trace, {"lam": cfg.lam}
+        if cfg.scheme is Scheme.SOLVE_MODIFIED:
+            result = solve_modified(
+                cfg.mapping, cfg.b, cfg.x0, cfg.stop, cfg.norm_kind, cfg.verify,
+                sampler=cfg.effective_sampler(), slack=cfg.slack,
+                store_iterates=cfg.store_iterates,
+            )
+            return result.trace.status.value, result.trace, {
+                "fixed_point": result.fixed_point.tolist(),
+                "lam": result.lam,
+                "residual_T": result.residual_T,
+                "report": result.condition_verified,
+            }
+        if cfg.scheme is Scheme.VERIFY:
+            report = verify_condition(
+                cfg.mapping, cfg.b, cfg.kind, cfg.effective_sampler(),
+                slack=cfg.slack, norm_kind=cfg.norm_kind,
+            )
+            return "passed" if report.passed else "refuted", None, {"report": report}
+        A, _ = as_affine(cfg.mapping)
+        value = min_b_affine(A, cfg.kind, cfg.norm_kind)
+        return "found" if value is not None else "infeasible", None, {"min_b": value}
+    except FpkitError as e:
+        return f"error:{type(e).__name__}", None, {}
+
+
+def _out_dir(target) -> Path:
+    """The output directory ``target``, created if missing."""
+    if target is None:
+        raise ConfigError("output_dir: required (set it in the config or pass out_dir)")
+    out = Path(target)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as e:
+        raise IoError(f"cannot create output directory {out}: {e}") from e
+    return out
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     """Execute one configured run and persist its artifacts.
 
@@ -291,61 +386,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     written.
     """
     cfg.validate()
-    target = out_dir if out_dir is not None else cfg.output_dir
-    if target is None:
-        raise ConfigError("output_dir: required (set it in the config or pass out_dir)")
-    out = Path(target)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise IoError(f"cannot create output directory {out}: {e}") from e
-
-    summary = RunSummary(
-        digest=config_digest(cfg),
-        scheme=cfg.scheme,
-        status="",
-        wall_time=0.0,
-        artifacts={"config": "config.json", "trace": "trace.csv", "summary": "summary.json"},
-    )
-    trace: IterationTrace | None = None
+    out = _out_dir(out_dir if out_dir is not None else cfg.output_dir)
+    digest = config_digest(cfg)
     t0 = time.perf_counter()
-    try:
-        if cfg.scheme is Scheme.PICARD:
-            trace = picard(cfg.mapping, cfg.x0, cfg.stop, cfg.norm_kind,
-                           store_iterates=cfg.store_iterates)
-            summary.status = trace.status.value
-        elif cfg.scheme is Scheme.KRASNOSELSKIJ:
-            trace = krasnoselskij(cfg.mapping, cfg.lam, cfg.x0, cfg.stop, cfg.norm_kind,
-                                  store_iterates=cfg.store_iterates)
-            summary.lam = cfg.lam
-            summary.status = trace.status.value
-        elif cfg.scheme is Scheme.SOLVE_MODIFIED:
-            result = solve_modified(
-                cfg.mapping, cfg.b, cfg.x0, cfg.stop, cfg.norm_kind, cfg.verify,
-                sampler=cfg.effective_sampler(), slack=cfg.slack,
-                store_iterates=cfg.store_iterates,
-            )
-            trace = result.trace
-            summary.status = trace.status.value
-            summary.fixed_point = result.fixed_point.tolist()
-            summary.lam = result.lam
-            summary.residual_T = result.residual_T
-            summary.report = result.condition_verified
-        elif cfg.scheme is Scheme.VERIFY:
-            report = verify_condition(
-                cfg.mapping, cfg.b, cfg.kind, cfg.effective_sampler(),
-                slack=cfg.slack, norm_kind=cfg.norm_kind,
-            )
-            summary.report = report
-            summary.status = "passed" if report.passed else "refuted"
-        else:  # MIN_B
-            A, _ = as_affine(cfg.mapping)
-            value = min_b_affine(A, cfg.kind, cfg.norm_kind)
-            summary.min_b = value
-            summary.status = "found" if value is not None else "infeasible"
-    except FpkitError as e:
-        summary.status = f"error:{type(e).__name__}"
-    summary.wall_time = time.perf_counter() - t0
+    status, trace, extras = _dispatch(cfg)
+    summary = RunSummary(
+        digest=digest,
+        scheme=cfg.scheme,
+        status=status,
+        wall_time=time.perf_counter() - t0,
+        artifacts={"config": "config.json", "trace": "trace.csv", "summary": "summary.json"},
+        **extras,
+    )
     if trace is not None:
         summary.iterations = trace.iterations
         if summary.fixed_point is None:
@@ -403,76 +455,75 @@ def _random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * signs
 
 
-@dataclass
-class BenchScheme:
-    """One column of a benchmark: a scheme plus its parameter, if any."""
-
-    scheme: Scheme
-    lam: float | None = None
-    b: float | None = None
-
-    def __post_init__(self):
-        self.scheme = Scheme(self.scheme)
-        for name, v in (("lambda", self.lam), ("b", self.b)):
-            if v is not None and not is_number(v):
-                raise ConfigError(f"{name}: expected a number, got {v!r}")
-        if self.scheme is Scheme.KRASNOSELSKIJ and (self.lam is None or not 0 < self.lam < 1):
-            raise ConfigError(f"lambda: must lie in (0, 1) for krasnoselskij, got {self.lam}")
-        if self.scheme is Scheme.SOLVE_MODIFIED and (self.b is None or not self.b > 0):
-            raise ConfigError(f"b: must be > 0 for solve_modified, got {self.b}")
-        if self.scheme not in _ITERATIVE:
-            raise ConfigError(f"scheme: {self.scheme.value} cannot be benchmarked")
-
-    @property
-    def label(self) -> str:
-        if self.scheme is Scheme.KRASNOSELSKIJ:
-            return f"krasnoselskij[lambda={self.lam!r}]"
-        if self.scheme is Scheme.SOLVE_MODIFIED:
-            return f"solve_modified[b={self.b!r}]"
-        return "picard"
+def _generate(fields: dict) -> list[Affine]:
+    """The family of a parsed generator object (a gen document or a bench family)."""
+    try:
+        return generate_affine_family(
+            fields["seed"], fields["dim"], fields["singular_values"], fields["count"]
+        )
+    except ParameterOutOfRange as e:
+        raise ConfigError(str(e)) from e
 
 
 def bench_compare(
     family: list[Mapping],
-    schemes: list[BenchScheme],
+    schemes: list[dict],
     stop: StopRule | None = None,
     norm_kind: NormKind = NormKind.L2,
     x0=None,
 ) -> list[dict]:
     """Run every scheme on every mapping; one row per (mapping, scheme) cell.
 
+    ``schemes`` holds ``{"scheme", "lambda" | "b"}`` entries of iterative
+    schemes, as in a bench config. Each cell is an ExperimentConfig (x0
+    defaults to the origin), and all are validated before any runs.
+
     Rows carry status, iteration count and the empirical residual ratio
     (blank when the trace is too short to estimate one). A failure in one
     cell is recorded in that row's status and the sweep continues.
     """
+    if not isinstance(schemes, list) or not schemes:
+        raise ConfigError("schemes: expected a non-empty list")
+    entries = [_read(s, _BENCH_SCHEME, f"schemes[{j}]: ") for j, s in enumerate(schemes)]
+    for j, entry in enumerate(entries):  # checked here too, so an empty family checks them
+        try:
+            if entry["scheme"] not in _ITERATIVE:
+                raise ConfigError(f"scheme: {entry['scheme'].value} cannot be benchmarked")
+            _check_parameters(entry["scheme"], entry["b"], entry["lambda"], None)
+        except ConfigError as e:
+            raise ConfigError(f"schemes[{j}]: {e}") from e
     stop = stop if stop is not None else StopRule()
-    rows = []
+    start = None if x0 is None else _vector(x0, "x0")
+    cells = []
     for i, mapping in enumerate(family):
-        start = np.zeros(mapping.dim) if x0 is None else as_vector(x0, name="x0")
-        for sch in schemes:
-            row = {"mapping": i, "scheme": sch.label, "status": "", "iterations": "", "empirical_ratio": ""}
+        for j, entry in enumerate(entries):
+            cfg = ExperimentConfig(
+                mapping, entry["scheme"], norm_kind, b=entry["b"], lam=entry["lambda"],
+                x0=np.zeros(mapping.dim) if start is None else start, stop=stop,
+            )
             try:
-                if sch.scheme is Scheme.PICARD:
-                    trace = picard(mapping, start, stop, norm_kind)
-                elif sch.scheme is Scheme.KRASNOSELSKIJ:
-                    trace = krasnoselskij(mapping, sch.lam, start, stop, norm_kind)
-                else:
-                    trace = solve_modified(mapping, sch.b, start, stop, norm_kind).trace
-                row["status"] = trace.status.value
-                row["iterations"] = trace.iterations
-                try:
-                    row["empirical_ratio"] = empirical_ratio(trace)
-                except InsufficientData:
-                    pass
-            except FpkitError as e:
-                row["status"] = f"error:{type(e).__name__}"
-            rows.append(row)
+                cfg.validate()
+            except ConfigError as e:
+                raise ConfigError(f"family[{i}], schemes[{j}]: {e}") from e
+            param = {Scheme.KRASNOSELSKIJ: "lambda", Scheme.SOLVE_MODIFIED: "b"}.get(cfg.scheme)
+            label = f"{cfg.scheme.value}[{param}={schemes[j][param]!r}]" if param else "picard"
+            cells.append((i, label, cfg))
+
+    rows = []
+    for i, label, cfg in cells:
+        status, trace, _ = _dispatch(cfg)
+        row = {"mapping": i, "scheme": label, "status": status, "iterations": "", "empirical_ratio": ""}
+        if trace is not None:
+            row["iterations"] = trace.iterations
+            try:
+                row["empirical_ratio"] = empirical_ratio(trace)
+            except InsufficientData:
+                pass
+        rows.append(row)
     return rows
 
 
 def write_bench_csv(rows: list[dict], path) -> None:
-    import csv
-
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(
@@ -483,3 +534,33 @@ def write_bench_csv(rows: list[dict], path) -> None:
             writer.writerows(rows)
     except OSError as e:
         raise IoError(f"cannot write benchmark CSV {path}: {e}") from e
+
+
+def run_bench(doc: dict, out_dir=None) -> tuple[list[dict], Path]:
+    """Run a bench document through ``bench_compare``; write bench.csv and
+    return its rows and path. A generator family's seed defaults to the document's."""
+    fields = _read(doc, _BENCH)
+    family = fields["family"]
+    if isinstance(family, dict):
+        family = _generate(_read(family, _GENERATOR, "family.", seed=fields["seed"]))
+    elif isinstance(family, list):
+        family = [_mapping(m, "family") for m in family]
+    else:
+        raise ConfigError("family: expected a list of mappings or a generator object")
+    out = _out_dir(out_dir if out_dir is not None else fields["output_dir"])
+    rows = bench_compare(family, fields["schemes"], fields["stop"], fields["norm"], fields["x0"])
+    write_bench_csv(rows, out / "bench.csv")
+    return rows, out / "bench.csv"
+
+
+def run_gen(doc: dict, out_dir=None) -> tuple[list[Affine], Path]:
+    """Generate the family a gen document describes; write and return it and family.json's path."""
+    fields = _read(doc, _GENERATOR + ("output_dir",))
+    out = _out_dir(out_dir if out_dir is not None else fields["output_dir"])
+    family = _generate(fields)
+    path = out / "family.json"
+    try:
+        path.write_text(json.dumps([serialize_mapping(m) for m in family], indent=2) + "\n")
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from e
+    return family, path

@@ -253,7 +253,8 @@ def solve_modified(
         )
     trace = krasnoselskij(mapping, lam, x0, stop, norm_kind, store_iterates=store_iterates)
     try:
-        residual_T = norm(evaluate(mapping, trace.final) - trace.final, norm_kind)
+        with np.errstate(over="ignore"):  # an overflowed l2 norm reads inf
+            residual_T = norm(evaluate(mapping, trace.final) - trace.final, norm_kind)
     except NonFiniteResult:
         residual_T = float("inf")
     return SolveResult(

@@ -145,6 +145,19 @@ def test_bench_rejects_bad_fields(tmp_path, write_config, capsys):
         ("schemes[0]: b", {"schemes": [{"scheme": "solve_modified", "b": "3"}]}),
         ("stop: eps_abs", {"stop": {"eps_abs": True}}),
         ("x0", {"x0": "abc"}),
+        # Unknown fields at every level: the document, the family generator
+        # and each scheme entry.
+        ("stopp", {"stopp": {"eps_abs": 1e-9}}),
+        ("verify", {"verify": "nonsense"}),
+        ("slack", {"slack": -5}),
+        ("sampler", {"sampler": {"count": -1}}),
+        ("family.seeed", {"family": {**family, "seeed": 5}}),
+        ("schemes[0]: lamda", {"schemes": [{"scheme": "krasnoselskij", "lamda": 0.5}]}),
+        ("schemes[0]: scheme: missing field", {"schemes": [{"lambda": 0.5}]}),
+        ("schemes[0]: scheme: verify cannot be benchmarked", {"schemes": [{"scheme": "verify"}]}),
+        ("stop: norm_cap must be finite", {"stop": {"norm_cap": float("inf")}}),
+        # An empty family still checks each entry's parameters.
+        ("schemes[0]: lambda", {"family": {**family, "count": 0}, "schemes": [{"scheme": "krasnoselskij"}]}),
     ):
         cfg = write_config({"family": family, "schemes": schemes, **bad})
         assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_CONFIG
@@ -153,10 +166,37 @@ def test_bench_rejects_bad_fields(tmp_path, write_config, capsys):
 
 def test_gen_rejects_bad_fields(tmp_path, write_config, capsys):
     doc = {"dim": 2, "singular_values": [0.5, 0.25], "count": 2, "seed": 3}
-    for name, value in (("dim", "2"), ("count", 2.5), ("seed", None), ("singular_values", "abc")):
+    for name, value in (
+        ("dim", "2"), ("count", 2.5), ("seed", None), ("singular_values", "abc"), ("seeed", 3),
+        ("norm", "l1"), ("stop", {"max_iter": 5}),
+    ):
         cfg = write_config({**doc, name: value})
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG
         assert f"config error: {name}" in capsys.readouterr().err
+    # gen takes no norm or stop rule, so it offers no flag that would set one.
+    cfg = write_config(doc)
+    for flag in (["--norm", "l1"], ["--tol", "1e-3"], ["--max-iter", "5"]):
+        with pytest.raises(SystemExit):
+            main(["gen", "--config", cfg, "--out", str(tmp_path / "g"), *flag])
+    capsys.readouterr()
+
+
+def test_bench_x0_mismatch_names_the_map(tmp_path, write_config, capsys):
+    plane = {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, 1.0]}
+    cfg = write_config({"family": [DEMO_MAPPING, plane], "schemes": [{"scheme": "picard"}], "x0": [0.0]})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: family[1], schemes[0]: x0: dimension 1 does not match" in err
+    assert not (tmp_path / "b" / "bench.csv").exists()
+
+
+def test_min_b_overflowing_affine_form_is_config_error(tmp_path, write_config, capsys):
+    # The folded matrix is 1e200 * 1e200 = inf: a config error, with no
+    # numpy overflow warning on the way (pytest turns one into an error).
+    huge = {"kind": "affine", "matrix": [[1e200]], "offset": [0.0]}
+    cfg = write_config({"mapping": {"kind": "composition", "stages": [huge, huge]}, "kind": "enriched"})
+    assert main(["min-b", "--config", cfg, "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+    assert "config error: mapping:" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_io_error(tmp_path):

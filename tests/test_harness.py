@@ -191,7 +191,7 @@ def test_family_validation():
 
 def test_bench_contractive_family_under_picard():
     family = fp.generate_affine_family(5, 2, [0.5, 0.5], 3)
-    rows = fp.bench_compare(family, [fp.BenchScheme(fp.Scheme.PICARD)])
+    rows = fp.bench_compare(family, [{"scheme": "picard"}])
     assert len(rows) == 3
     for row in rows:
         assert row["status"] == "converged"
@@ -200,7 +200,7 @@ def test_bench_contractive_family_under_picard():
 
 def test_bench_expansive_family_under_picard_diverges():
     family = fp.generate_affine_family(6, 2, [2.0, 2.0], 3)
-    rows = fp.bench_compare(family, [fp.BenchScheme(fp.Scheme.PICARD)])
+    rows = fp.bench_compare(family, [{"scheme": "picard"}])
     assert all(row["status"] == "diverged" for row in rows)
 
 
@@ -212,7 +212,7 @@ def test_bench_negated_double_identity_converges_under_krasnoselskij():
     for m in family:
         averaged_norm = fp.operator_norm((1.0 - lam) * np.eye(2) + lam * m.matrix)
         assert averaged_norm < 1.0
-    rows = fp.bench_compare(family, [fp.BenchScheme(fp.Scheme.KRASNOSELSKIJ, lam=lam)])
+    rows = fp.bench_compare(family, [{"scheme": "krasnoselskij", "lambda": lam}])
     assert all(row["status"] == "converged" for row in rows)
 
 
@@ -221,9 +221,9 @@ def test_bench_mixed_schemes_and_labels():
     rows = fp.bench_compare(
         family,
         [
-            fp.BenchScheme(fp.Scheme.PICARD),
-            fp.BenchScheme(fp.Scheme.KRASNOSELSKIJ, lam=0.5),
-            fp.BenchScheme(fp.Scheme.SOLVE_MODIFIED, b=1.0),
+            {"scheme": "picard"},
+            {"scheme": "krasnoselskij", "lambda": 0.5},
+            {"scheme": "solve_modified", "b": 1.0},
         ],
     )
     labels = {row["scheme"] for row in rows}
@@ -232,7 +232,7 @@ def test_bench_mixed_schemes_and_labels():
 
 def test_bench_csv_output(tmp_path):
     family = fp.generate_affine_family(8, 1, [0.5], 2)
-    rows = fp.bench_compare(family, [fp.BenchScheme(fp.Scheme.PICARD)])
+    rows = fp.bench_compare(family, [{"scheme": "picard"}])
     path = tmp_path / "bench.csv"
     fp.write_bench_csv(rows, path)
     lines = path.read_text().splitlines()
@@ -241,9 +241,10 @@ def test_bench_csv_output(tmp_path):
 
 
 def test_bench_scheme_validation():
-    with pytest.raises(ConfigError):
-        fp.BenchScheme(fp.Scheme.KRASNOSELSKIJ)  # lambda required
-    with pytest.raises(ConfigError):
-        fp.BenchScheme(fp.Scheme.SOLVE_MODIFIED, b=-1.0)
-    with pytest.raises(ConfigError):
-        fp.BenchScheme(fp.Scheme.VERIFY)
+    family = fp.generate_affine_family(8, 1, [0.5], 2)
+    with pytest.raises(ConfigError, match=r"schemes\[0\]: lambda"):
+        fp.bench_compare(family, [{"scheme": "krasnoselskij"}])  # lambda required
+    with pytest.raises(ConfigError, match=r"schemes\[1\]: b"):
+        fp.bench_compare(family, [{"scheme": "picard"}, {"scheme": "solve_modified", "b": -1.0}])
+    with pytest.raises(ConfigError, match=r"schemes\[0\]: scheme: verify cannot be benchmarked"):
+        fp.bench_compare(family, [{"scheme": "verify", "b": 1.0}])
