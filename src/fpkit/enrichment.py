@@ -252,7 +252,8 @@ def _condition_ratios(
                 norm_kind,
             )
             rhs[huge] = factor * norms_rowwise(scaled, norm_kind)
-    return lhs / rhs
+        # A ratio past the float range reads inf, which refutes the condition.
+        return lhs / rhs
 
 
 def condition_ratio(

@@ -425,17 +425,17 @@ def generate_affine_family(
     offset uniform in [-10, 10]^dim. Deterministic per seed.
     """
     if not 1 <= dim <= DIM_CAP:
-        raise ParameterOutOfRange(f"dim must be in [1, {DIM_CAP}]")
+        raise ParameterOutOfRange(f"dim: must be in [1, {DIM_CAP}]")
     if count < 0:
-        raise ParameterOutOfRange("count must be >= 0")
+        raise ParameterOutOfRange("count: must be >= 0")
     try:
         s = np.asarray(singular_values, dtype=float)
     except (TypeError, ValueError):
-        raise ParameterOutOfRange("singular_values must be a list of numbers") from None
+        raise ParameterOutOfRange("singular_values: must be a list of numbers") from None
     if s.ndim != 1 or s.size != dim:
-        raise ParameterOutOfRange(f"singular_values must be a list of length dim={dim}")
+        raise ParameterOutOfRange(f"singular_values: must be a list of length dim={dim}")
     if not np.all(np.isfinite(s)) or np.any(s < 0):
-        raise ParameterOutOfRange("singular_values must be finite and >= 0")
+        raise ParameterOutOfRange("singular_values: must be finite and >= 0")
 
     rng = np.random.default_rng(seed)
     family = []
@@ -455,14 +455,15 @@ def _random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * signs
 
 
-def _generate(fields: dict) -> list[Affine]:
-    """The family of a parsed generator object (a gen document or a bench family)."""
+def _generate(fields: dict, prefix: str = "") -> list[Affine]:
+    """The family of a parsed generator object (a gen document or a bench
+    family); ``prefix`` names the object in messages, as in ``_read``."""
     try:
         return generate_affine_family(
             fields["seed"], fields["dim"], fields["singular_values"], fields["count"]
         )
     except ParameterOutOfRange as e:
-        raise ConfigError(str(e)) from e
+        raise ConfigError(f"{prefix}{e}") from e
 
 
 def bench_compare(
@@ -542,7 +543,7 @@ def run_bench(doc: dict, out_dir=None) -> tuple[list[dict], Path]:
     fields = _read(doc, _BENCH)
     family = fields["family"]
     if isinstance(family, dict):
-        family = _generate(_read(family, _GENERATOR, "family.", seed=fields["seed"]))
+        family = _generate(_read(family, _GENERATOR, "family.", seed=fields["seed"]), "family.")
     elif isinstance(family, list):
         family = [_mapping(m, "family") for m in family]
     else:

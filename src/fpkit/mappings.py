@@ -181,11 +181,7 @@ def evaluate(mapping: Mapping, x) -> np.ndarray:
         raise DimensionMismatch(
             f"mapping of dimension {mapping.dim} applied to vector of dimension {x.size}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _apply(mapping, x)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteResult("mapping evaluation overflowed to a non-finite vector")
-    return y
+    return _finite(_compile(mapping), x)
 
 
 def evaluate_many(mapping: Mapping, xs) -> np.ndarray:
@@ -195,48 +191,49 @@ def evaluate_many(mapping: Mapping, xs) -> np.ndarray:
         raise DimensionMismatch(
             f"mapping of dimension {mapping.dim} applied to batch of shape {xs.shape}"
         )
+    return _finite(_compile(mapping), xs)
+
+
+def _finite(f, x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        ys = _apply_many(mapping, xs)
-    if not np.all(np.isfinite(ys)):
+        y = f(x)
+    if not np.all(np.isfinite(y)):
         raise NonFiniteResult("mapping evaluation overflowed to a non-finite vector")
-    return ys
+    return y
 
 
-def _apply(m: Mapping, x: np.ndarray) -> np.ndarray:
+def _compile(m: Mapping):
+    """One function that applies ``m`` to a vector, or to each row of a batch.
+
+    The tree is walked once, here, not on every call. Matrices act from the
+    right, ``x.dot(A.T)``: on a batch of rows that is ``xs @ A.T``, and on a
+    1-D ``x`` it is ``A @ x``, both bit for bit, and ``dot`` skips most of
+    ``@``'s per-call overhead. The function returns a new array and never
+    its argument.
+    """
     match m:
         case Identity():
-            return x.copy()
+            return lambda x: x.copy()
         case Affine(matrix=A, offset=c):
-            return A @ x + c
+            At = A.T
+            return lambda x: x.dot(At) + c
         case Rotation():
-            return m.matrix() @ x
+            Rt = m.matrix().T
+            return lambda x: x.dot(Rt)
         case BoxProjection(lo=lo, hi=hi):
-            return np.clip(x, lo, hi)
+            return lambda x: np.clip(x, lo, hi)
         case LinearCombinationWithIdentity(alpha=a, beta=b, base=base):
-            return a * x + b * _apply(base, x)
+            f = _compile(base)
+            return lambda x: a * x + b * f(x)
         case Composition(stages=stages):
-            for s in stages:
-                x = _apply(s, x)
-            return x
-    raise TypeError(f"not a Mapping: {m!r}")
+            fs = tuple(map(_compile, stages))
 
+            def composed(x):
+                for f in fs:
+                    x = f(x)
+                return x
 
-def _apply_many(m: Mapping, xs: np.ndarray) -> np.ndarray:
-    match m:
-        case Identity():
-            return xs.copy()
-        case Affine(matrix=A, offset=c):
-            return xs @ A.T + c
-        case Rotation():
-            return xs @ m.matrix().T
-        case BoxProjection(lo=lo, hi=hi):
-            return np.clip(xs, lo, hi)
-        case LinearCombinationWithIdentity(alpha=a, beta=b, base=base):
-            return a * xs + b * _apply_many(base, xs)
-        case Composition(stages=stages):
-            for s in stages:
-                xs = _apply_many(s, xs)
-            return xs
+            return composed
     raise TypeError(f"not a Mapping: {m!r}")
 
 
@@ -318,9 +315,10 @@ def _folded(m: Mapping) -> Affine | None:
     """``Affine(*as_affine(m))``, or None when that form is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         A, c = as_affine(m)
-    if not (np.isfinite(A).all() and np.isfinite(c).all()):
+    try:
+        return Affine(A, c)  # refuses non-finite entries
+    except InvariantViolation:
         return None
-    return Affine(A, c)
 
 
 def _folded_run(run: list) -> list:

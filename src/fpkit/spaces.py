@@ -75,28 +75,32 @@ def as_matrix(m, *, dim_cap: int = DIM_CAP, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _l1(v: np.ndarray) -> float:
-    return float(np.abs(v).sum())
+def _l1(rows: np.ndarray) -> np.ndarray:
+    return np.abs(rows).sum(axis=1)
 
 
-def _l2(v: np.ndarray) -> float:
-    # Bit for bit what np.linalg.norm computes for a 1-D float64 vector, except
-    # below _L2_RESCALE_BELOW. Comparing the Python float result is the
-    # cheapest test, which matters in the iteration loop.
-    n = math.sqrt(v.dot(v))
-    if n < _L2_RESCALE_BELOW:
-        w = v * _L2_SCALE
-        return math.sqrt(w.dot(w)) / _L2_SCALE
-    return n
+def _l2(rows: np.ndarray) -> np.ndarray:
+    # Each row's norm is bit for bit what np.linalg.norm computes for it as a
+    # 1-D float64 vector (sqrt of its dot product with itself), except below
+    # _L2_RESCALE_BELOW. np.vecdot takes that same dot product per row; the
+    # shorter forms (rows * rows).sum(axis=1) and einsum round differently.
+    out = np.sqrt(np.vecdot(rows, rows))
+    tiny = out < _L2_RESCALE_BELOW
+    if tiny.any():
+        w = rows[tiny] * _L2_SCALE
+        out[tiny] = np.sqrt(np.vecdot(w, w)) / _L2_SCALE
+    return out
 
 
-def _linf(v: np.ndarray) -> float:
-    return float(np.abs(v).max())
+def _linf(rows: np.ndarray) -> np.ndarray:
+    return np.abs(rows).max(axis=1)
 
 
 # One kernel per vector norm, shared by ``norm`` and the iteration loop. A
-# kernel takes a 1-D float64 array as is: ``norm`` converts its argument
-# first, and the iteration loop passes the vectors it produced itself.
+# kernel takes a 2-D float64 array as is and returns the norm of each row:
+# ``norm`` passes its converted argument as one row, and the iteration loop
+# passes a block of the iterates it produced itself. A squared l2 norm past
+# the float range reads inf (numpy warns unless the caller silences it).
 VECTOR_NORMS = {NormKind.L1: _l1, NormKind.L2: _l2, NormKind.LINF: _linf}
 
 
@@ -109,7 +113,7 @@ def norm(v, kind: NormKind = NormKind.L2) -> float:
     v = np.asarray(v, dtype=float).ravel(order="K")
     if v.size == 0:
         raise InvariantViolation("vector: expected a non-empty array")
-    return kernel(v)
+    return float(kernel(v[None, :])[0])
 
 
 def norms_rowwise(rows: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:

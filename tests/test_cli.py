@@ -138,7 +138,15 @@ def test_bench_rejects_bad_fields(tmp_path, write_config, capsys):
         ("family.seed", {"family": {**family, "seed": "5"}}),
         ("family.dim", {"family": {**family, "dim": 1.5}}),
         ("family.count", {"family": {**family, "count": "2"}}),
-        ("singular_values", {"family": {**family, "singular_values": "abc"}}),
+        ("family.singular_values: must be a list of numbers",
+         {"family": {**family, "singular_values": "abc"}}),
+        # The generator's own range checks name the field too.
+        ("family.dim: must be in [1, 64]", {"family": {**family, "dim": 0}}),
+        ("family.dim: must be in [1, 64]", {"family": {**family, "dim": 65}}),
+        ("family.singular_values: must be a list of length dim=1",
+         {"family": {**family, "singular_values": [0.5, 0.25]}}),
+        ("family.singular_values: must be finite and >= 0",
+         {"family": {**family, "singular_values": [-0.5]}}),
         ("schemes[0]: lambda", {"schemes": [{"scheme": "krasnoselskij", "lambda": "x"}]}),
         ("schemes[0]: lambda", {"schemes": [{"scheme": "krasnoselskij", "lambda": True}]}),
         ("schemes[0]: b", {"schemes": [{"scheme": "solve_modified", "b": True}]}),
@@ -173,6 +181,16 @@ def test_gen_rejects_bad_fields(tmp_path, write_config, capsys):
         cfg = write_config({**doc, name: value})
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG
         assert f"config error: {name}" in capsys.readouterr().err
+    # The generator's own range checks name the field too.
+    for name, value, message in (
+        ("dim", 0, "dim: must be in [1, 64]"),
+        ("dim", 65, "dim: must be in [1, 64]"),
+        ("singular_values", [0.5], "singular_values: must be a list of length dim=2"),
+        ("singular_values", [0.5, -0.25], "singular_values: must be finite and >= 0"),
+    ):
+        cfg = write_config({**doc, name: value})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
     # gen takes no norm or stop rule, so it offers no flag that would set one.
     cfg = write_config(doc)
     for flag in (["--norm", "l1"], ["--tol", "1e-3"], ["--max-iter", "5"]):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -286,6 +287,19 @@ def test_verify_near_the_box_limit_does_not_overflow_the_condition():
             assert rep.passed
             x, y = rep.witness_x, rep.witness_y
             assert fp.condition_ratio(mapping, 3.0, kind, x, y, nk) == rep.max_ratio
+
+
+def test_verify_ratio_past_the_float_range_reads_inf():
+    # x -> 1.7e308 * clip(x_1) * (1, 1): each side of the condition is
+    # finite once rescored, but for pairs along the first axis their l1 and
+    # l2 quotients exceed the float range (up to 2.7e308 and 1.9e308). The
+    # ratio reads inf and refutes the condition, with no warning on the way.
+    big = fp.Affine([[1.7e308, 0.0], [1.7e308, 0.0]], [0.0, 0.0])
+    m = fp.Composition((fp.BoxProjection([-1.0, -1.0], [1.0, 1.0]), big))
+    sampler = fp.PairSampler(box_radius=1.0, count=2000)
+    for nk in (fp.NormKind.L1, fp.NormKind.L2):
+        rep = fp.verify_condition(m, 0.25, fp.ConditionKind.ENRICHED, sampler, norm_kind=nk)
+        assert rep.max_ratio == math.inf and not rep.passed, nk
 
 
 def test_verify_overflowing_mapping_raises_non_finite():

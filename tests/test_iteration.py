@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fpkit as fp
 from fpkit.errors import DimensionMismatch, InsufficientData, ParameterOutOfRange
+from fpkit.iteration import DIVERGENCE_WINDOW
 from fpkit.mappings import collapse
 
 from _family import apriori_iterations_exact, reference_norm, reference_picard
@@ -174,6 +175,105 @@ def test_collapsed_traces_stay_close_to_the_tree(kind):
                 assert gap <= 1e-12 * np.linalg.norm(want.final), name
 
 
+# picard runs its steps in blocks of 8, 16, 32, then 64: the first steps of
+# blocks are 1, 9, 25, 57, 121 and the last 8, 24, 56, 120, 184. A stop on
+# either edge of a block, or a max_iter at either side of one, must give the
+# reference loop's trace.
+BLOCK_EDGES = (1, 8, 9, 24, 25, 56, 57, 120, 121)
+ALL_KINDS = (fp.NormKind.L1, fp.NormKind.L2, fp.NormKind.LINF)
+TINY = 1e-300  # an eps_abs that no residual below reaches
+
+
+def assert_picard_matches_reference(m, x0, stop):
+    for kind in ALL_KINDS:
+        for store in (False, True):
+            want = quiet_reference(collapse(m), x0, stop, kind, store_iterates=store)
+            assert_same_trace(fp.picard(m, x0, stop, kind, store_iterates=store), want)
+
+
+def test_picard_max_iter_at_block_edges_matches_the_reference():
+    never_settle = [
+        (fp.Affine(np.eye(3), [1.0, -2.0, 0.5]), np.zeros(3)),
+        (fp.Rotation(1.0), np.array([3.0, -1.0])),
+    ]
+    for max_iter in sorted({n + k for n in (8, 16, 24, 32, 56, 64, 120) for k in (-1, 0, 1)}):
+        for m, x0 in never_settle:
+            stop = fp.StopRule(max_iter=max_iter)
+            assert fp.picard(m, x0, stop).status is fp.Status.MAX_ITER_REACHED
+            assert fp.picard(m, x0, stop).iterations == max_iter
+            assert_picard_matches_reference(m, x0, stop)
+
+
+def _stop_at(m, x0, kind, n, field):
+    """A stop rule whose ``field`` ends the reference run of ``m`` at step n."""
+    trace = quiet_reference(m, x0, fp.StopRule(eps_abs=TINY, max_iter=n + 1, norm_cap=math.inf),
+                            kind, store_iterates=True)
+    if field == "eps_abs":
+        return fp.StopRule(eps_abs=trace.residuals[n - 1], max_iter=200)
+    # norm_cap halfway between the norms of x_{n-1} and x_n
+    below, above = (reference_norm(x, kind) for x in trace.iterates[n - 1:n + 1])
+    return fp.StopRule(eps_abs=TINY, norm_cap=(below + above) / 2.0, max_iter=200)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_picard_convergence_and_norm_cap_on_block_edges(n):
+    halve = fp.scaling_map(0.5, dim=3)  # residuals fall at every step
+    shift = fp.Affine(np.eye(3), [1.0, 2.0, -1.0])  # norms grow from 0; residuals stay put
+    for m, x0, field, status in ((halve, np.array([1.0, -3.0, 2.0]), "eps_abs", fp.Status.CONVERGED),
+                                 (shift, np.zeros(3), "norm_cap", fp.Status.DIVERGED)):
+        for kind in ALL_KINDS:
+            stop = _stop_at(m, x0, kind, n, field)
+            tr = fp.picard(m, x0, stop, kind)
+            assert tr.status is status and tr.iterations == n, (field, kind)
+        assert_picard_matches_reference(m, x0, stop)
+
+
+@pytest.mark.parametrize("n", [56, 57, 120, 121])
+def test_picard_growth_streak_across_block_edges(n):
+    # diag(1/2, 2) from (1, 2^-2m): the step is (-2^-k, 2^(k-1-2m)) at step k,
+    # exactly, so in every norm here residuals fall up to step m, step m+1
+    # repeats step m's, and they grow from step m+2 on. The streak reaches
+    # DIVERGENCE_WINDOW at step m+21 and crosses a block edge on the way.
+    m = n - DIVERGENCE_WINDOW - 1
+    T = fp.Affine(np.diag([0.5, 2.0]), np.zeros(2))
+    x0 = np.array([1.0, 2.0 ** (-2 * m)])
+    stop = fp.StopRule(eps_abs=TINY)
+    for kind in ALL_KINDS:
+        tr = fp.picard(T, x0, stop, kind)
+        assert tr.status is fp.Status.DIVERGED and tr.iterations == n, kind
+        assert tr.residuals[m] == tr.residuals[m - 1] < tr.residuals[m + 1], kind
+    assert_picard_matches_reference(T, x0, stop)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 24, 25])
+def test_picard_unrecorded_non_finite_step_on_block_edges(n):
+    # Doubling from 2^(1024-n) overflows to inf at step n exactly; with no
+    # norm cap that step ends the run unrecorded. (Steps from 2^512 on have
+    # l2 norms past the float range and are recorded.)
+    m = fp.scaling_map(2.0, dim=2)
+    x0 = np.array([2.0 ** (1024 - n), -(2.0 ** (1023 - n))])
+    stop = fp.StopRule(norm_cap=math.inf)
+    tr = fp.picard(m, x0, stop)
+    assert tr.status is fp.Status.DIVERGED and tr.iterations == n - 1
+    assert_picard_matches_reference(m, x0, stop)
+
+
+def test_picard_discards_overflowing_steps_past_the_stop_quietly():
+    # The norm cap ends the run at step 1 (1e100), but picard has already
+    # computed the rest of the block: 1e200, 1e300, then inf. Those steps and
+    # their norms overflow without a warning and leave no trace.
+    m = fp.scaling_map(1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ALL_KINDS:
+            for store in (False, True):
+                tr = fp.picard(m, [1.0], norm_kind=kind, store_iterates=store)
+                assert tr.status is fp.Status.DIVERGED
+                assert tr.residuals == [1e100 - 1.0] and tr.final.tolist() == [1e100]
+                assert_same_trace(tr, reference_picard(m, [1.0], norm_kind=kind,
+                                                       store_iterates=store))
+
+
 def test_picard_evaluation_overflow_ends_diverged_unrecorded():
     # 1e300 * 1e10 overflows to inf on the first step, which is not recorded.
     for kind in fp.NormKind:
@@ -196,7 +296,7 @@ def test_picard_nan_step_ends_diverged_unrecorded():
     m = fp.Composition((fp.scaling_map(1e50), double_less_one))
     stop = fp.StopRule(norm_cap=math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(fp.mappings._apply(m, np.array([1e300]))[0])
+        assert math.isnan(fp.mappings._compile(m)(np.array([1e300]))[0])
     for kind in fp.NormKind:
         tr = fp.picard(m, [1.0], stop, kind, store_iterates=True)
         assert tr.status is fp.Status.DIVERGED
@@ -217,7 +317,7 @@ def test_picard_nan_step_in_an_unfoldable_subtree_ends_diverged_unrecorded():
         1e300, -1e300, fp.BoxProjection([-1e10], [1e10])), shift))
     assert collapse(m) == m
     with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(fp.mappings._apply(collapse(m), np.array([1e9]))[0])
+        assert math.isnan(fp.mappings._compile(collapse(m))(np.array([1e9]))[0])
     for kind in fp.NormKind:
         tr = fp.picard(m, [0.0], norm_kind=kind, store_iterates=True)
         assert tr.status is fp.Status.DIVERGED

@@ -50,6 +50,34 @@ def test_evaluate_many_matches_single_evaluation():
         np.testing.assert_allclose(fp.evaluate_many(m, xs), single, atol=1e-13)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 17, 64])
+def test_evaluator_matches_the_matrix_formulas_bit_for_bit(d):
+    # One compiled evaluator serves vectors and batches; each tree gives
+    # exactly the products written out node by node: A @ x + c on a vector,
+    # xs @ A.T + c on a batch.
+    rng = np.random.default_rng(900 + d)
+    A1, A2 = rng.normal(size=(2, d, d))
+    c1, c2 = rng.normal(size=(2, d))
+    a, b = 0.75, 0.25
+    xs = rng.uniform(-20.0, 20.0, (50, d))
+    cases = [
+        (fp.Affine(A1, c1), lambda x: A1 @ x + c1, lambda xs: xs @ A1.T + c1),
+        (fp.LinearCombinationWithIdentity(a, b, fp.Affine(A1, c1)),
+         lambda x: a * x + b * (A1 @ x + c1), lambda xs: a * xs + b * (xs @ A1.T + c1)),
+        (fp.Composition((fp.Affine(A1, c1), fp.Affine(A2, c2))),
+         lambda x: A2 @ (A1 @ x + c1) + c2, lambda xs: (xs @ A1.T + c1) @ A2.T + c2),
+    ]
+    if d == 2:
+        R = fp.Rotation(0.7).matrix()
+        cases.append((fp.Rotation(0.7), lambda x: R @ x, lambda xs: xs @ R.T))
+        cases.append((fp.Composition((fp.Rotation(0.7), fp.Affine(A1, c1))),
+                      lambda x: A1 @ (R @ x) + c1, lambda xs: xs @ R.T @ A1.T + c1))
+    for m, one, many in cases:
+        assert fp.evaluate_many(m, xs).tobytes() == many(xs).tobytes(), m
+        for x in xs:
+            assert fp.evaluate(m, x).tobytes() == one(x).tobytes(), m
+
+
 # --- affine normal form ---
 
 
