@@ -11,6 +11,7 @@ b), 2 configuration error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -73,6 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves a parser unchanged, so every
+    ``main`` call in a process reuses this one instead of building its own."""
+    return build_parser()
+
+
 def _load_json(path: str):
     p = Path(path)
     try:
@@ -83,6 +91,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: {path} is not valid JSON ({e})") from e
+    except RecursionError:
+        raise ConfigError(f"config: {path} is nested too deeply to parse") from None
 
 
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
@@ -138,7 +148,7 @@ def _run_scheme_command(args: argparse.Namespace, doc: dict) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = _apply_overrides(_load_json(args.config), args)
         if args.command == "bench":

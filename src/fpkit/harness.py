@@ -93,8 +93,7 @@ class ExperimentConfig:
                     f"x0: dimension {self.x0.size} does not match mapping dimension {self.mapping.dim}"
                 )
         if self.scheme is Scheme.MIN_B:
-            with np.errstate(over="ignore", invalid="ignore"):
-                form = as_affine(self.mapping)
+            form = as_affine(self.mapping)
             if form is None:
                 raise ConfigError("mapping: scheme min_b needs an affine-representable mapping")
             if not (np.isfinite(form[0]).all() and np.isfinite(form[1]).all()):
@@ -409,10 +408,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
             write_trace_csv(trace, out / "trace.csv")
         else:
             (out / "trace.csv").write_text("iter,residual,ratio\n")
-        (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
+        (out / "summary.json").write_text(
+            json.dumps(_null_non_finite(summary.to_dict()), indent=2, allow_nan=False) + "\n"
+        )
     except OSError as e:
         raise IoError(f"cannot write artifacts under {out}: {e}") from e
     return summary
+
+
+def _null_non_finite(v):
+    """``v`` with each non-finite float as None, so strict JSON parsers read it."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _null_non_finite(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_null_non_finite(x) for x in v]
+    return v
 
 
 def generate_affine_family(
@@ -554,6 +566,29 @@ def run_bench(doc: dict, out_dir=None) -> tuple[list[dict], Path]:
     return rows, out / "bench.csv"
 
 
+def _family_json(family: list[Affine]) -> str:
+    """``json.dumps([serialize_mapping(m) for m in family], indent=2)``, emitted
+    directly: the same ``float.__repr__`` tokens, indentation and separators,
+    without the pure-Python indenting encoder."""
+    if not family:
+        return "[]"
+
+    def items(values, indent):
+        return f",\n{indent}".join(map(float.__repr__, values))
+
+    maps = []
+    for m in family:
+        rows = ",\n".join(
+            f"      [\n        {items(row, ' ' * 8)}\n      ]" for row in m.matrix.tolist()
+        )
+        maps.append(
+            '  {\n    "kind": "affine",\n    "matrix": [\n'
+            f"{rows}\n    ],\n"
+            f'    "offset": [\n      {items(m.offset.tolist(), " " * 6)}\n    ]\n  }}'
+        )
+    return "[\n" + ",\n".join(maps) + "\n]"
+
+
 def run_gen(doc: dict, out_dir=None) -> tuple[list[Affine], Path]:
     """Generate the family a gen document describes; write and return it and family.json's path."""
     fields = _read(doc, _GENERATOR + ("output_dir",))
@@ -561,7 +596,7 @@ def run_gen(doc: dict, out_dir=None) -> tuple[list[Affine], Path]:
     family = _generate(fields)
     path = out / "family.json"
     try:
-        path.write_text(json.dumps([serialize_mapping(m) for m in family], indent=2) + "\n")
+        path.write_text(_family_json(family) + "\n")
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from e
     return family, path

@@ -14,7 +14,6 @@ geometrically to the unique fixed point of T from any starting point.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -361,10 +360,12 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
 
     ``iter`` is 1-based; the ratio cell is empty where undefined. Floats are
     written with repr (shortest round-trip form), so identical traces produce
-    byte-identical files.
+    byte-identical files. No cell needs CSV quoting, so the file is built as
+    one string, the bytes ``csv.writer`` would write, and written once.
     """
+    rows = "".join([
+        f"{i},{res!r},{'' if ratio is None else repr(ratio)}\n"
+        for i, (res, ratio) in enumerate(zip(trace.residuals, trace.ratios), start=1)
+    ])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "residual", "ratio"])
-        for i, (res, ratio) in enumerate(zip(trace.residuals, trace.ratios), start=1):
-            writer.writerow([i, repr(res), "" if ratio is None else repr(ratio)])
+        fh.write("iter,residual,ratio\n" + rows)

@@ -242,8 +242,15 @@ def as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
 
     Defined for Affine, Rotation, Identity, linear combinations over an
     affine-representable base, and compositions of affine-representable
-    stages. Box projections have no affine form.
+    stages. Box projections have no affine form. A fold that overflows
+    returns its inf and nan entries without a numpy warning; callers check
+    the form for finiteness.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _as_affine(m)
+
+
+def _as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
     match m:
         case Identity():
             return np.eye(m.dim), np.zeros(m.dim)
@@ -254,7 +261,7 @@ def as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
         case BoxProjection():
             return None
         case LinearCombinationWithIdentity(alpha=a, beta=b, base=base):
-            inner = as_affine(base)
+            inner = _as_affine(base)
             if inner is None:
                 return None
             A, c = inner
@@ -263,7 +270,7 @@ def as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
             A = np.eye(m.dim)
             c = np.zeros(m.dim)
             for s in stages:
-                inner = as_affine(s)
+                inner = _as_affine(s)
                 if inner is None:
                     return None
                 As, cs = inner
@@ -313,8 +320,7 @@ def collapse(m: Mapping) -> Mapping:
 
 def _folded(m: Mapping) -> Affine | None:
     """``Affine(*as_affine(m))``, or None when that form is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        A, c = as_affine(m)
+    A, c = as_affine(m)
     try:
         return Affine(A, c)  # refuses non-finite entries
     except InvariantViolation:
@@ -362,9 +368,13 @@ def parse_mapping(doc, *, dim_cap: int = DIM_CAP) -> Mapping:
     Raises SchemaError for layout problems (unknown kind, missing or
     unexpected fields, wrong JSON types) and InvariantViolation for value
     problems (non-finite numbers, lo > hi, mixed dimensions). Messages carry
-    the path of the offending node, e.g. ``$.stages[1].matrix``.
+    the path of the offending node, e.g. ``$.stages[1].matrix``. A document
+    nested past Python's recursion limit is a SchemaError too.
     """
-    return _parse(doc, "$", dim_cap)
+    try:
+        return _parse(doc, "$", dim_cap)
+    except RecursionError:
+        raise SchemaError("$: nested too deeply") from None
 
 
 def _parse(doc, path: str, dim_cap: int) -> Mapping:

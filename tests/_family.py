@@ -6,6 +6,7 @@ across runs and machines (same BLAS-free code paths throughout).
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 
 import math
@@ -129,6 +130,16 @@ def reference_picard(
         norm_kind=norm_kind,
         iterates=iterates,
     )
+
+
+def reference_write_trace_csv(trace: fp.IterationTrace, path) -> None:
+    """The ``csv.writer`` form of ``fp.write_trace_csv``, one ``writerow`` per
+    step: the reference for the bytes of ``trace.csv``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["iter", "residual", "ratio"])
+        for i, (res, ratio) in enumerate(zip(trace.residuals, trace.ratios), start=1):
+            writer.writerow([i, repr(res), "" if ratio is None else repr(ratio)])
 
 
 def reference_draw(sampler: fp.PairSampler, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,23 @@ from fpkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEME_FAILURE, main
 DEMO_MAPPING = {"kind": "affine", "matrix": [[-2.0]], "offset": [100.0]}
 
 
+def lincomb_chain(depth: int) -> str:
+    """A solve config whose mapping nests ``depth`` lincombs over a line map,
+    as JSON text (``json.dumps`` itself refuses such depths)."""
+    head = '{"kind": "lincomb", "alpha": 0.5, "beta": 0.5, "base": '
+    line = json.dumps({"kind": "affine", "matrix": [[0.5]], "offset": [1.0]})
+    return '{"b": 3.0, "x0": [0.0], "mapping": ' + head * depth + line + "}" * depth + "}"
+
+
+def strict_loads(text: str):
+    """``json.loads`` refusing the non-standard NaN and Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def write_config(tmp_path):
     def _write(doc, name="config.json"):
@@ -59,6 +76,19 @@ def test_verify_pass(tmp_path, write_config, capsys):
     cfg = write_config({"mapping": DEMO_MAPPING, "b": 3.0, "kind": "modified"})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
     assert "passed=True" in capsys.readouterr().out
+
+
+def test_verify_summary_is_strict_json_with_null_for_inf(tmp_path, write_config):
+    # x -> 1.7e308 * clip(x_1) * (1, 1): the sampled ratio overflows to inf.
+    big = {"kind": "affine", "matrix": [[1.7e308, 0.0], [1.7e308, 0.0]], "offset": [0.0, 0.0]}
+    box = {"kind": "box_projection", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+    cfg = write_config({"mapping": {"kind": "composition", "stages": [box, big]}, "b": 0.25,
+                        "kind": "enriched", "sampler": {"box_radius": 1, "count": 2000}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_SCHEME_FAILURE
+    summary = strict_loads((tmp_path / "v" / "summary.json").read_text())
+    assert summary["status"] == "refuted"
+    assert summary["report"]["max_ratio"] is None
+    assert summary["report"]["passed"] is False
 
 
 def test_iterate_picard_divergence(tmp_path, write_config):
@@ -227,15 +257,60 @@ def test_malformed_json_is_config_error(tmp_path):
     assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
     bad.write_text("[1, 2]")
     assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+    # Nested past the recursion limit, in the JSON decoder or in the mapping
+    # parser: a config error, not a RecursionError traceback.
+    for text in ("[" * 100_000 + "]" * 100_000, lincomb_chain(990)):
+        bad.write_text(text)
+        for command in ("solve", "bench", "gen"):
+            assert main([command, "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_module_entry_point_smoke(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"mapping": DEMO_MAPPING, "b": 3.0, "x0": [0.0]}))
     proc = subprocess.run(
-        [sys.executable, "-m", "fpkit", "solve", "--config", str(cfg), "--out", str(tmp_path / "run")],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fpkit", "solve",
+         "--config", str(cfg), "--out", str(tmp_path / "run")],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert "status=converged" in proc.stdout
+
+
+def test_deep_mapping_chain_still_solves(tmp_path):
+    # A fresh process, as from a shell: 960 nested lincombs parse and solve.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(lincomb_chain(960))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fpkit", "solve",
+         "--config", str(cfg), "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "status=converged" in proc.stdout
+
+
+def test_in_process_calls_share_no_state(tmp_path, write_config):
+    cfg = write_config({"mapping": DEMO_MAPPING, "b": 3.0, "x0": [0.0]})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "a"), "--b", "5"]) == EXIT_OK
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+    first = json.loads((tmp_path / "a" / "config.json").read_text())
+    second = json.loads((tmp_path / "b" / "config.json").read_text())
+    assert first["b"] == 5.0 and second["b"] == 3.0
+    assert json.loads((tmp_path / "b" / "summary.json").read_text())["lambda"] == 0.25
+
+
+def test_gen_and_bench_reruns_are_byte_identical(tmp_path, write_config):
+    gen = write_config({"dim": 8, "singular_values": [0.5] * 8, "count": 3, "seed": 4}, "gen.json")
+    bench = write_config(
+        {"family": {"dim": 2, "singular_values": [1.8, 0.9], "count": 3, "seed": 2},
+         "schemes": [{"scheme": "picard"}, {"scheme": "krasnoselskij", "lambda": 0.25}]},
+        "bench.json",
+    )
+    for command, cfg, artifact in (("gen", gen, "family.json"), ("bench", bench, "bench.csv")):
+        runs = [tmp_path / f"{command}-{k}" for k in range(2)]
+        for out in runs:
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert (runs[0] / artifact).read_bytes() == (runs[1] / artifact).read_bytes()

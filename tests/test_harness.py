@@ -5,7 +5,7 @@ import pytest
 
 import fpkit as fp
 from fpkit.errors import ConfigError
-from fpkit.harness import canonical_json
+from fpkit.harness import _family_json, canonical_json, run_bench, run_gen
 
 DEMO_DOC = {
     "mapping": {"kind": "affine", "matrix": [[-2.0]], "offset": [100.0]},
@@ -186,6 +186,22 @@ def test_family_validation():
     assert fp.generate_affine_family(1, 2, [1.0, 1.0], 0) == []
 
 
+@pytest.mark.parametrize("count", [0, 1, 4])
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+def test_family_json_is_the_indented_json_dump(tmp_path, dim, count):
+    doc = {"seed": 5, "dim": dim, "singular_values": np.linspace(0.1, 1.8, dim).tolist(), "count": count}
+    family, path = run_gen(doc, tmp_path)
+    dumped = json.dumps([fp.serialize_mapping(m) for m in family], indent=2) + "\n"
+    assert path.read_bytes() == dumped.encode()
+    assert len(family) == count
+
+
+def test_family_json_float_tokens_are_json_dumps_tokens():
+    odd = [fp.Affine([[-0.0, 5e-324], [1e16, -1.7976931348623157e308]], [1e-7, 2.0**70]),
+           fp.Affine([[0.1]], [-0.0])]
+    assert _family_json(odd) == json.dumps([fp.serialize_mapping(m) for m in odd], indent=2)
+
+
 # --- benchmark table ---
 
 
@@ -238,6 +254,15 @@ def test_bench_csv_output(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "mapping,scheme,status,iterations,empirical_ratio"
     assert len(lines) == 3
+
+
+def test_bench_family_nested_too_deeply_is_config_error(tmp_path):
+    mapping = {"kind": "affine", "matrix": [[0.5]], "offset": [1.0]}
+    for _ in range(5000):
+        mapping = {"kind": "lincomb", "alpha": 0.5, "beta": 0.5, "base": mapping}
+    doc = {"family": [mapping], "schemes": [{"scheme": "picard"}]}
+    with pytest.raises(ConfigError, match=r"^family: \$: nested too deeply$"):
+        run_bench(doc, tmp_path)
 
 
 def test_bench_scheme_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -12,7 +13,12 @@ from fpkit.errors import DimensionMismatch, InsufficientData, ParameterOutOfRang
 from fpkit.iteration import DIVERGENCE_WINDOW
 from fpkit.mappings import collapse
 
-from _family import apriori_iterations_exact, reference_norm, reference_picard
+from _family import (
+    apriori_iterations_exact,
+    reference_norm,
+    reference_picard,
+    reference_write_trace_csv,
+)
 
 T_LINE = fp.line_map(-2.0, 100.0)
 X_STAR = 100.0 / 3.0
@@ -567,3 +573,38 @@ def test_trace_csv_format(tmp_path):
     assert lines[1] == "1,25.0,"
     assert lines[2] == "2,6.25,0.25"
     assert len(lines) == 1 + tr.iterations
+
+
+
+_CSV_TRACES = {
+    "none-ratios": lambda: dataclasses.replace(
+        fp.picard(fp.scaling_map(0.5), [1.0], fp.StopRule(max_iter=6)),
+        ratios=[None, 0.5, None, 0.5, None, None],
+    ),
+    "identity": lambda: fp.picard(fp.Identity(2), [1.0, 2.0]),
+    # The l2 norm of (1e200, -1e200) overflows: the recorded residual is inf.
+    "norm-overflow": lambda: fp.picard(fp.scaling_map(1e200, dim=2), [1.0, -1.0]),
+    # Halving from 1e-305 runs the residuals through the subnormals to 0.
+    "subnormal": lambda: fp.picard(fp.scaling_map(0.5), [1e-305], fp.StopRule(eps_abs=5e-324)),
+    # The first step overflows and is not recorded: a header-only file.
+    "no-steps": lambda: fp.picard(fp.scaling_map(1e300), [1e10]),
+    "long": lambda: fp.krasnoselskij(T_LINE, 0.002, [0.0], fp.StopRule(eps_abs=1e-12)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CSV_TRACES))
+def test_trace_csv_matches_the_csv_writer_bytes(tmp_path, name):
+    trace = _CSV_TRACES[name]()
+    fp.write_trace_csv(trace, tmp_path / "new.csv")
+    reference_write_trace_csv(trace, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    lines = (tmp_path / "new.csv").read_text().splitlines()
+    assert len(lines) == 1 + trace.iterations
+    if name == "norm-overflow":
+        assert lines[1] == "1,inf,"
+    if name == "subnormal":
+        assert any(0.0 < r < 2.2250738585072014e-308 for r in trace.residuals)
+    if name == "no-steps":
+        assert lines == ["iter,residual,ratio"]
+    if name == "long":
+        assert trace.iterations > 3000

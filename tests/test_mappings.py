@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,19 @@ def test_collapse_keeps_a_fold_that_overflows():
     assert fp.mappings.collapse(big) == big
     lincomb = fp.averaged(big, 0.5)
     assert fp.mappings.collapse(lincomb) == lincomb
+
+
+def test_as_affine_folds_an_overflow_without_a_warning():
+    # 1e200 * 1e200 overflows to inf; a zero map after that gives 0 * inf,
+    # which is nan. as_affine returns both forms and no numpy warning.
+    big = fp.Composition((fp.scaling_map(1e200), fp.scaling_map(1e200)))
+    big2 = fp.Composition((fp.scaling_map(1e200, 2), fp.scaling_map(1e200, 2), fp.scaling_map(0.0, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A, c = fp.as_affine(big)
+        assert A.tolist() == [[math.inf]] and c.tolist() == [0.0]
+        A, c = fp.as_affine(big2)
+        assert np.isnan(A).all() and c.tolist() == [0.0, 0.0]
 
 
 # --- structural invariants ---
