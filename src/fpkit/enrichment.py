@@ -24,16 +24,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, SearchBudgetExceeded
+from .errors import ParameterOutOfRange
 from .mappings import LinearCombinationWithIdentity, Mapping, evaluate_many
 from .spaces import (
     _L2_SCALE,
     OPERATOR_NORMS,
+    VECTOR_NORMS,
     NormKind,
     as_matrix,
     as_norm_kind,
     is_number,
-    norms_rowwise,
 )
 
 B_CAP = 1e6  # search ceiling for min_b_affine
@@ -182,10 +182,12 @@ class PairSampler:
         _fill_uniform(rng, x_far, r)
         _fill_uniform(rng, y_far, r)
         floor = 1e-14 * r
+        l2 = VECTOR_NORMS[NormKind.L2]
         bad = np.empty(len(x_far), dtype=bool)
         while True:
-            for blk in _row_blocks(len(x_far), dim):
-                bad[blk] = norms_rowwise(x_far[blk] - y_far[blk]) < floor
+            with np.errstate(over="ignore"):  # a distance past the float range is inf
+                for blk in _row_blocks(len(x_far), dim):
+                    bad[blk] = l2(x_far[blk] - y_far[blk]) < floor
             if not bad.any():
                 break
             k = int(bad.sum())
@@ -233,25 +235,26 @@ def _condition_ratios(
     ys: np.ndarray,
     norm_kind: NormKind,
 ) -> np.ndarray:
+    row_norms = VECTOR_NORMS[norm_kind]
     diffs = xs - ys
     factor = b + 1.0 if kind is ConditionKind.ENRICHED else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = norms_rowwise(b * diffs + evaluate_many(mapping, xs) - evaluate_many(mapping, ys), norm_kind)
-        rhs = factor * norms_rowwise(diffs, norm_kind)
-        # On boxes near the radius limit a side can overflow although every
-        # operand is finite. Those rows are rescored with every operand
-        # scaled by the same power of two, which is exact, so their ratio is
-        # unchanged and the other rows keep their bits.
+        lhs = row_norms(b * diffs + evaluate_many(mapping, xs) - evaluate_many(mapping, ys))
+        rhs = factor * row_norms(diffs)
+        # On large boxes a side can overflow although every operand is
+        # finite: an l2 square past the float range from about 1.3e154 on,
+        # a sum or a product near the radius limit. Those rows are rescored
+        # with every operand scaled by the same power of two, which is exact,
+        # so their ratio is unchanged and the other rows keep their bits.
         huge = ~(np.isfinite(lhs) & np.isfinite(rhs))
         if huge.any():
             scaled = diffs[huge] / _L2_SCALE
-            lhs[huge] = norms_rowwise(
+            lhs[huge] = row_norms(
                 b * scaled
                 + evaluate_many(mapping, xs[huge]) / _L2_SCALE
-                - evaluate_many(mapping, ys[huge]) / _L2_SCALE,
-                norm_kind,
+                - evaluate_many(mapping, ys[huge]) / _L2_SCALE
             )
-            rhs[huge] = factor * norms_rowwise(scaled, norm_kind)
+            rhs[huge] = factor * row_norms(scaled)
         # A ratio past the float range reads inf, which refutes the condition.
         return lhs / rhs
 
@@ -324,9 +327,9 @@ def _golden_minimizer(g, c: float) -> float:
     a = 0.0
     x1, x2 = c - _INVPHI * c, _INVPHI * c
     g1, g2 = g(x1), g(x2)
-    for _ in range(400):
-        if c - a <= 1e-10 * max(1.0, c):
-            return 0.5 * (a + c)
+    # Each pass shrinks the bracket by _INVPHI whatever g returns, so from
+    # c <= B_CAP = 1e6 down to 1e-10 it takes at most 77 passes.
+    while c - a > 1e-10 * max(1.0, c):
         if g1 <= g2:  # the minimizer lies in [a, x2]
             c, x2, g2 = x2, x1, g1
             x1 = c - _INVPHI * (c - a)
@@ -335,7 +338,7 @@ def _golden_minimizer(g, c: float) -> float:
             a, x1, g1 = x1, x2, g2
             x2 = a + _INVPHI * (c - a)
             g2 = g(x2)
-    raise SearchBudgetExceeded("golden-section search did not terminate")
+    return 0.5 * (a + c)
 
 
 def min_b_affine(
@@ -374,27 +377,25 @@ def min_b_affine(
 
     if kind is ConditionKind.ENRICHED:
         lo, hi = 0.0, 1.0
-        for _ in range(64):
-            if g(hi) <= 0.0:
-                break
+        # hi doubles from 1 and stops at B_CAP = 1e6: at most 21 passes. A NaN
+        # g counts as infeasible.
+        while not (g(hi) <= 0.0):
             if hi >= B_CAP:
                 return None
             lo = hi  # last infeasible point
             hi = min(hi * 2.0, B_CAP)
-        else:
-            raise SearchBudgetExceeded("doubling bracket did not terminate")
     else:
         hi = _golden_minimizer(g, min(B_CAP, g0 + 2.0))
         if g(hi) > 0.0:
             return None
         lo = 0.0
 
-    for _ in range(400):
-        if hi - lo <= B_TOL * 0.5:
-            return hi
+    # Each pass halves hi - lo <= B_CAP = 1e6 until it is at most B_TOL / 2:
+    # at most 48 passes.
+    while hi - lo > B_TOL * 0.5:
         mid = 0.5 * (lo + hi)
         if g(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
-    raise SearchBudgetExceeded("bisection did not terminate")
+    return hi

@@ -25,10 +25,6 @@ class ParameterOutOfRange(FpkitError):
     """A numeric parameter lies outside its admissible range."""
 
 
-class SearchBudgetExceeded(FpkitError):
-    """A bracketing or bisection search exhausted its step budget."""
-
-
 class InsufficientData(FpkitError):
     """A diagnostic needs more usable samples than the input provides."""
 

@@ -66,8 +66,11 @@ class Scheme(str, Enum):
 _ITERATIVE = {Scheme.PICARD, Scheme.KRASNOSELSKIJ, Scheme.SOLVE_MODIFIED}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, checked when built: an invalid config raises
+    ConfigError and is never constructed, so no caller validates again."""
+
     mapping: Mapping
     scheme: Scheme
     norm_kind: NormKind = NormKind.L2
@@ -83,7 +86,7 @@ class ExperimentConfig:
     seed: int = 42
     output_dir: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_parameters(self.scheme, self.b, self.lam, self.kind)
         if self.scheme in _ITERATIVE:
             if self.x0 is None:
@@ -260,9 +263,7 @@ def _read(doc, names, prefix: str = "", **defaults) -> dict:
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a JSON document."""
     fields = _read(doc, _EXPERIMENT)
-    cfg = ExperimentConfig(**{_ATTRS.get(k, k): v for k, v in fields.items()})
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**{_ATTRS.get(k, k): v for k, v in fields.items()})
 
 
 def _plain(v):
@@ -327,7 +328,7 @@ class RunSummary:
 
 
 def _dispatch(cfg: ExperimentConfig) -> tuple[str, IterationTrace | None, dict]:
-    """Run a validated config's scheme. Returns its status (an FpkitError is
+    """Run a config's scheme. Returns its status (an FpkitError is
     ``error:<type>``), its trace (None unless it iterates) and the RunSummary
     fields it sets."""
     try:
@@ -381,10 +382,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
 
     Scheme-level failures (divergence, a refuted condition, no feasible b)
     land in the summary's status; they are results, not exceptions. Raises
-    ConfigError for invalid configs and IoError when artifacts cannot be
-    written.
+    ConfigError when no output directory is given and IoError when artifacts
+    cannot be written.
     """
-    cfg.validate()
     out = _out_dir(out_dir if out_dir is not None else cfg.output_dir)
     digest = config_digest(cfg)
     t0 = time.perf_counter()
@@ -489,7 +489,7 @@ def bench_compare(
 
     ``schemes`` holds ``{"scheme", "lambda" | "b"}`` entries of iterative
     schemes, as in a bench config. Each cell is an ExperimentConfig (x0
-    defaults to the origin), and all are validated before any runs.
+    defaults to the origin), and all are built, hence checked, before any runs.
 
     Rows carry status, iteration count and the empirical residual ratio
     (blank when the trace is too short to estimate one). A failure in one
@@ -510,12 +510,11 @@ def bench_compare(
     cells = []
     for i, mapping in enumerate(family):
         for j, entry in enumerate(entries):
-            cfg = ExperimentConfig(
-                mapping, entry["scheme"], norm_kind, b=entry["b"], lam=entry["lambda"],
-                x0=np.zeros(mapping.dim) if start is None else start, stop=stop,
-            )
             try:
-                cfg.validate()
+                cfg = ExperimentConfig(
+                    mapping, entry["scheme"], norm_kind, b=entry["b"], lam=entry["lambda"],
+                    x0=np.zeros(mapping.dim) if start is None else start, stop=stop,
+                )
             except ConfigError as e:
                 raise ConfigError(f"family[{i}], schemes[{j}]: {e}") from e
             param = {Scheme.KRASNOSELSKIJ: "lambda", Scheme.SOLVE_MODIFIED: "b"}.get(cfg.scheme)

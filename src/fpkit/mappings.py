@@ -362,7 +362,7 @@ _FIELDS = {
 }
 
 
-def parse_mapping(doc, *, dim_cap: int = DIM_CAP) -> Mapping:
+def parse_mapping(doc) -> Mapping:
     """Build a Mapping from a JSON-shaped document.
 
     Raises SchemaError for layout problems (unknown kind, missing or
@@ -372,12 +372,12 @@ def parse_mapping(doc, *, dim_cap: int = DIM_CAP) -> Mapping:
     nested past Python's recursion limit is a SchemaError too.
     """
     try:
-        return _parse(doc, "$", dim_cap)
+        return _parse(doc, "$")
     except RecursionError:
         raise SchemaError("$: nested too deeply") from None
 
 
-def _parse(doc, path: str, dim_cap: int) -> Mapping:
+def _parse(doc, path: str) -> Mapping:
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected an object, got {type(doc).__name__}")
     if "kind" not in doc:
@@ -410,14 +410,14 @@ def _parse(doc, path: str, dim_cap: int) -> Mapping:
             return LinearCombinationWithIdentity(
                 _num(doc["alpha"], f"{path}.alpha"),
                 _num(doc["beta"], f"{path}.beta"),
-                _parse(doc["base"], f"{path}.base", dim_cap),
+                _parse(doc["base"], f"{path}.base"),
             )
         if kind == "composition":
             stages = doc["stages"]
             if not isinstance(stages, list):
                 raise SchemaError(f"{path}.stages: expected an array")
             return Composition(
-                tuple(_parse(s, f"{path}.stages[{i}]", dim_cap) for i, s in enumerate(stages))
+                tuple(_parse(s, f"{path}.stages[{i}]") for i, s in enumerate(stages))
             )
         if not isinstance(doc["dim"], int) or isinstance(doc["dim"], bool):
             raise SchemaError(f"{path}.dim: expected an integer")

@@ -17,12 +17,12 @@ import numpy as np
 
 from .errors import InvariantViolation, ParameterOutOfRange
 
-# Dimension guard for user-supplied data. Generous for the intended desk-scale
-# experiments; raise it explicitly when constructing bigger problems.
+# Dimension guard for user-supplied data, generous for the intended desk-scale
+# experiments.
 DIM_CAP = 64
 
 # Below this l2 norm, v . v is under the smallest normal float64: squares lose
-# bits or vanish, and the l2 kernels rescale first. Every entry of such a
+# bits or vanish, and _l2 rescales first. Every entry of such a
 # vector is below it too, so scaling by _L2_SCALE puts all nonzero squares in
 # the normal range without overflow; a power of two scales exactly.
 _L2_RESCALE_BELOW = math.sqrt(np.finfo(float).tiny)  # about 1.49e-154
@@ -48,7 +48,7 @@ def is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def as_vector(x, *, dim_cap: int = DIM_CAP, name: str = "vector") -> np.ndarray:
+def as_vector(x, *, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, validating shape and entries."""
     try:
         v = np.asarray(x, dtype=float)
@@ -56,20 +56,20 @@ def as_vector(x, *, dim_cap: int = DIM_CAP, name: str = "vector") -> np.ndarray:
         raise InvariantViolation(f"{name}: expected an array of numbers") from None
     if v.ndim != 1 or v.size == 0:
         raise InvariantViolation(f"{name}: expected a non-empty 1-D array, got shape {v.shape}")
-    if v.size > dim_cap:
-        raise InvariantViolation(f"{name}: dimension {v.size} exceeds cap {dim_cap}")
+    if v.size > DIM_CAP:
+        raise InvariantViolation(f"{name}: dimension {v.size} exceeds cap {DIM_CAP}")
     if not np.all(np.isfinite(v)):
         raise InvariantViolation(f"{name}: entries must be finite")
     return v
 
 
-def as_matrix(m, *, dim_cap: int = DIM_CAP, name: str = "matrix") -> np.ndarray:
+def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square float64 matrix."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvariantViolation(f"{name}: expected a non-empty square matrix, got shape {a.shape}")
-    if a.shape[0] > dim_cap:
-        raise InvariantViolation(f"{name}: dimension {a.shape[0]} exceeds cap {dim_cap}")
+    if a.shape[0] > DIM_CAP:
+        raise InvariantViolation(f"{name}: dimension {a.shape[0]} exceeds cap {DIM_CAP}")
     if not np.all(np.isfinite(a)):
         raise InvariantViolation(f"{name}: entries must be finite")
     return a
@@ -96,11 +96,12 @@ def _linf(rows: np.ndarray) -> np.ndarray:
     return np.abs(rows).max(axis=1)
 
 
-# One kernel per vector norm, shared by ``norm`` and the iteration loop. A
-# kernel takes a 2-D float64 array as is and returns the norm of each row:
-# ``norm`` passes its converted argument as one row, and the iteration loop
-# passes a block of the iterates it produced itself. A squared l2 norm past
-# the float range reads inf (numpy warns unless the caller silences it).
+# One kernel per vector norm, the only row norms in the package: ``norm``,
+# the iteration loop and the sampled condition check all call these. A kernel
+# takes a 2-D float64 array as is and returns the norm of each row: ``norm``
+# passes its converted argument as one row, the others pass blocks of rows
+# they built themselves. A squared l2 norm past the float range reads inf
+# (numpy warns unless the caller silences it).
 VECTOR_NORMS = {NormKind.L1: _l1, NormKind.L2: _l2, NormKind.LINF: _linf}
 
 
@@ -114,28 +115,6 @@ def norm(v, kind: NormKind = NormKind.L2) -> float:
     if v.size == 0:
         raise InvariantViolation("vector: expected a non-empty array")
     return float(kernel(v[None, :])[0])
-
-
-def norms_rowwise(rows: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:
-    """Norm of each row of a 2-D array, vectorized."""
-    kind = as_norm_kind(kind)
-    if kind is NormKind.L1:
-        return np.sum(np.abs(rows), axis=1)
-    if kind is NormKind.L2:
-        with np.errstate(over="ignore"):
-            out = np.sqrt(np.sum(rows * rows, axis=1))
-            tiny = out < _L2_RESCALE_BELOW
-            if tiny.any():  # rescale those rows, as _l2 does
-                w = rows[tiny] * _L2_SCALE
-                out[tiny] = np.sqrt(np.sum(w * w, axis=1)) / _L2_SCALE
-            # Rows whose squares overflow: scale down by the same power of
-            # two. A norm past the float range, or of a row holding inf, is inf.
-            huge = np.isinf(out)
-            if huge.any():
-                w = rows[huge] / _L2_SCALE
-                out[huge] = np.sqrt(np.sum(w * w, axis=1)) * _L2_SCALE
-        return out
-    return np.max(np.abs(rows), axis=1)
 
 
 def _op_l1(M: np.ndarray) -> float:

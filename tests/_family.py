@@ -17,7 +17,7 @@ import fpkit as fp
 from fpkit.enrichment import DEFAULT_SLACK
 from fpkit.errors import DimensionMismatch, NonFiniteResult, ParameterOutOfRange
 from fpkit.iteration import DIVERGENCE_GRACE, DIVERGENCE_WINDOW
-from fpkit.spaces import as_vector, norms_rowwise
+from fpkit.spaces import VECTOR_NORMS, as_vector
 
 FAMILY_SEED = 2000
 B_GRID = (0.0, 0.5, 1.0, 3.0)
@@ -194,11 +194,10 @@ def reference_verify(
     """
     kind = fp.ConditionKind(kind)
     xs, ys = reference_draw(sampler, mapping.dim)
+    row_norms = VECTOR_NORMS[fp.NormKind(norm_kind)]
     diffs = xs - ys
-    lhs = norms_rowwise(
-        b * diffs + fp.evaluate_many(mapping, xs) - fp.evaluate_many(mapping, ys), norm_kind
-    )
-    rhs = norms_rowwise(diffs, norm_kind)
+    lhs = row_norms(b * diffs + fp.evaluate_many(mapping, xs) - fp.evaluate_many(mapping, ys))
+    rhs = row_norms(diffs)
     if kind is fp.ConditionKind.ENRICHED:
         rhs = (b + 1.0) * rhs
     ratios = lhs / rhs

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fpkit import harness
 from fpkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEME_FAILURE, main
 
 DEMO_MAPPING = {"kind": "affine", "matrix": [[-2.0]], "offset": [100.0]}
@@ -118,6 +119,17 @@ def test_min_b_prints_value(tmp_path, write_config, capsys):
     summary = json.loads((tmp_path / "m" / "summary.json").read_text())
     assert summary["status"] == "found"
     assert summary["min_b"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_min_b_folds_the_mapping_once_to_check_and_once_to_run(
+    tmp_path, write_config, monkeypatch
+):
+    calls = []
+    fold = harness.as_affine
+    monkeypatch.setattr(harness, "as_affine", lambda m: calls.append(m) or fold(m))
+    cfg = write_config({"mapping": DEMO_MAPPING, "kind": "modified"})
+    assert main(["min-b", "--config", cfg, "--out", str(tmp_path / "m")]) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_min_b_infeasible(tmp_path, write_config):

@@ -257,14 +257,20 @@ def test_unknown_kinds_and_norms_are_typed_errors():
 
 
 def test_verify_on_a_huge_box_is_not_nan():
-    # Squared l2 distances overflow at this radius; the row norms rescale,
-    # so the line x -> 1 - 2x keeps its exact enriched ratio at b = 1.
-    rep = fp.verify_condition(
-        fp.line_map(-2.0, 1.0), 1.0, fp.ConditionKind.ENRICHED,
-        fp.PairSampler(box_radius=1e200, count=10),
-    )
+    # Squared l2 distances overflow at this radius; those rows are rescored
+    # in scaled units, so the line x -> 1 - 2x keeps its exact enriched
+    # ratio at b = 1, and so does x -> -2x in 2-d in every norm, where each
+    # l2 square of a pair's difference overflows.
+    sampler = fp.PairSampler(box_radius=1e200, count=10)
+    rep = fp.verify_condition(fp.line_map(-2.0, 1.0), 1.0, fp.ConditionKind.ENRICHED, sampler)
     assert rep.max_ratio == pytest.approx(0.5, rel=1e-12)
     assert rep.passed
+    for nk in fp.NormKind:
+        rep = fp.verify_condition(
+            fp.scaling_map(-2.0, 2), 1.0, fp.ConditionKind.ENRICHED, sampler, norm_kind=nk
+        )
+        assert rep.max_ratio == pytest.approx(0.5, rel=1e-12), nk
+        assert rep.passed
 
 
 def test_verify_near_the_box_limit_does_not_overflow_the_condition():

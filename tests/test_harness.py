@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -71,6 +72,14 @@ def test_config_validation_names_the_offending_field():
     for name, value in (("box_radius", True), ("box_radius", "x"), ("near_pair_fraction", False)):
         with pytest.raises(ConfigError, match=f"^sampler: {name} must be a number"):
             demo_config(sampler={name: value})
+
+
+def test_a_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="^x0: required for scheme picard"):
+        fp.ExperimentConfig(fp.line_map(-2.0, 100.0), fp.Scheme.PICARD)
+    cfg = demo_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.b = -1.0
 
 
 def test_config_round_trip_is_a_fixpoint():

@@ -5,6 +5,74 @@ from pathlib import Path
 import fpkit as fp
 
 
+# Every name of the public API, sorted, one a line: adding or removing one is
+# a deliberate edit of this list.
+PUBLIC_API = [
+    "Affine",
+    "B_CAP",
+    "BoxProjection",
+    "Composition",
+    "ConditionKind",
+    "ConfigError",
+    "DIM_CAP",
+    "DimensionMismatch",
+    "EnrichmentReport",
+    "ExperimentConfig",
+    "FpkitError",
+    "Identity",
+    "InsufficientData",
+    "InvariantViolation",
+    "IoError",
+    "IterationTrace",
+    "LinearCombinationWithIdentity",
+    "Mapping",
+    "NonFiniteResult",
+    "NormKind",
+    "PairSampler",
+    "ParameterOutOfRange",
+    "Rotation",
+    "RunSummary",
+    "SchemaError",
+    "Scheme",
+    "SolveResult",
+    "Status",
+    "StopRule",
+    "apriori_iterations",
+    "as_affine",
+    "averaged",
+    "bench_compare",
+    "check_fixed_point",
+    "condition_ratio",
+    "config_digest",
+    "config_to_doc",
+    "empirical_ratio",
+    "enriched_reduction",
+    "evaluate",
+    "evaluate_many",
+    "generate_affine_family",
+    "krasnoselskij",
+    "line_map",
+    "min_b_affine",
+    "modified_shift",
+    "norm",
+    "operator_norm",
+    "parse_config",
+    "parse_mapping",
+    "picard",
+    "run_experiment",
+    "scaling_map",
+    "serialize_mapping",
+    "solve_modified",
+    "verify_condition",
+    "write_bench_csv",
+    "write_trace_csv",
+]
+
+
+def test_public_api_is_pinned():
+    assert fp.__all__ == PUBLIC_API
+
+
 def test_public_names_resolve():
     missing = [name for name in fp.__all__ if not hasattr(fp, name)]
     assert missing == []
