@@ -40,7 +40,10 @@ def _add_common(p: argparse.ArgumentParser, *, gen: bool = False) -> None:
     p.add_argument("--max-iter", type=int, help="override stop rule max_iter")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves a parser unchanged, so every
+    ``main`` call in a process reuses this one instead of building its own."""
     parser = argparse.ArgumentParser(
         prog="fpkit",
         description="Fixed points of enriched nonexpansive mappings via averaged iteration.",
@@ -72,13 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, gen=True)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser: parsing leaves a parser unchanged, so every
-    ``main`` call in a process reuses this one instead of building its own."""
-    return build_parser()
 
 
 def _load_json(path: str):
@@ -148,7 +144,7 @@ def _run_scheme_command(args: argparse.Namespace, doc: dict) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         doc = _apply_overrides(_load_json(args.config), args)
         if args.command == "bench":

@@ -287,7 +287,12 @@ def config_to_doc(cfg: ExperimentConfig) -> dict:
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """``doc`` as compact JSON with sorted keys. Only a config's mapping can
+    nest, so a document too deep for the encoder is a ConfigError about it."""
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except RecursionError:
+        raise ConfigError("mapping: nested too deeply for a config document") from None
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
@@ -382,8 +387,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
 
     Scheme-level failures (divergence, a refuted condition, no feasible b)
     land in the summary's status; they are results, not exceptions. Raises
-    ConfigError when no output directory is given and IoError when artifacts
-    cannot be written.
+    ConfigError when no output directory is given or the mapping nests too
+    deeply for a config document, and IoError when artifacts cannot be
+    written.
     """
     out = _out_dir(out_dir if out_dir is not None else cfg.output_dir)
     digest = config_digest(cfg)

@@ -231,16 +231,6 @@ class SolveResult:
     residual_T: float
     condition_verified: EnrichmentReport | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "fixed_point": self.fixed_point.tolist(),
-            "lambda": self.lam,
-            "status": self.trace.status.value,
-            "iterations": self.trace.iterations,
-            "residual_T": self.residual_T,
-            "condition": None if self.condition_verified is None else self.condition_verified.to_dict(),
-        }
-
 
 def solve_modified(
     mapping: Mapping,

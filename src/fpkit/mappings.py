@@ -9,12 +9,23 @@ Mappings are plain dataclasses treated as immutable values. ``evaluate``
 applies one to a single vector, ``evaluate_many`` to a batch of row vectors;
 both raise ``DimensionMismatch`` on shape disagreement and ``NonFiniteResult``
 if overflow produces NaN or infinity.
+
+A node's ``children`` are the mappings it applies: none on a leaf, the base
+of a linear combination, the stages of a composition. Each node fixes its
+``dim`` when it is built. Every other job that walks a tree is a rule over
+one walk: ``_postorder`` lists the nodes children first with an explicit
+stack, and ``_fold`` applies a rule at each node to its children's values.
+So evaluation, ``as_affine``, ``collapse``, ``serialize_mapping`` and ``==``
+take trees of any depth. ``_KINDS`` holds each kind's JSON layout once, and
+parsing, serialization and ``==`` read it. Only the parser recurses, one
+frame per level, and it reports a document nested past Python's recursion
+limit as a SchemaError.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,26 +35,21 @@ from .spaces import DIM_CAP, as_matrix, as_vector, is_number
 
 
 class Mapping:
-    """Base class; concrete variants are the dataclasses below."""
+    """Base class; concrete variants are the dataclasses below. Each has a
+    ``dim`` and the ``children`` it applies, in order (none on a leaf)."""
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
+    children = ()
 
     def __eq__(self, other):
         if type(self) is not type(other):
             return NotImplemented
-        for f in dataclasses.fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(a, np.ndarray):
-                if not np.array_equal(a, b):
-                    return False
-            elif isinstance(a, tuple):
-                if len(a) != len(b) or any(u != v for u, v in zip(a, b)):
-                    return False
-            elif a != b:
-                return False
-        return True
+        # Node by node, children first, each node's JSON fields with a None
+        # per child: the order and the arities fix the shape of each tree.
+        mine, theirs = _postorder(self), _postorder(other)
+        return len(mine) == len(theirs) and all(
+            _document(u, [None] * len(u.children)) == _document(v, [None] * len(v.children))
+            for u, v in zip(mine, theirs)
+        )
 
     __hash__ = None  # mutable-ish payloads; not meant for dict keys
 
@@ -73,15 +79,12 @@ class Rotation(Mapping):
     """Rotation of the plane by ``theta`` radians. Two dimensions only."""
 
     theta: float
+    dim = 2
 
     def __post_init__(self):
         self.theta = float(self.theta)
         if not math.isfinite(self.theta):
             raise InvariantViolation("theta: must be finite")
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     def matrix(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -128,10 +131,8 @@ class LinearCombinationWithIdentity(Mapping):
             raise InvariantViolation("alpha: coefficients must be finite")
         if not isinstance(self.base, Mapping):
             raise InvariantViolation("base: expected a Mapping")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
+        self.dim = self.base.dim
+        self.children = (self.base,)
 
 
 @dataclass(eq=False)
@@ -151,27 +152,52 @@ class Composition(Mapping):
                 raise InvariantViolation(
                     f"stages[{i}]: dimension {s.dim} differs from stages[0] dimension {stages[0].dim}"
                 )
-        self.stages = stages
-
-    @property
-    def dim(self) -> int:
-        return self.stages[0].dim
+        self.stages = self.children = stages
+        self.dim = stages[0].dim
 
 
 @dataclass(eq=False)
 class Identity(Mapping):
     """x -> x."""
 
-    dimension: int
+    dim: int
 
     def __post_init__(self):
-        self.dimension = int(self.dimension)
-        if not 1 <= self.dimension <= DIM_CAP:
+        self.dim = int(self.dim)
+        if not 1 <= self.dim <= DIM_CAP:
             raise InvariantViolation(f"dim: must be in [1, {DIM_CAP}]")
 
-    @property
-    def dim(self) -> int:
-        return self.dimension
+
+# --- the walk ---------------------------------------------------------------
+
+
+def _postorder(m: Mapping) -> list:
+    """The nodes of ``m``, each after its children and the children in order.
+
+    A pre-order walk that takes the last child first, reversed; the explicit
+    stack lets a tree of any depth through.
+    """
+    out, stack = [], [m]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
+    out.reverse()
+    return out
+
+
+def _fold(m: Mapping, rule):
+    """The value of ``m`` under ``rule(node, kids)``, where ``kids`` lists
+    the values of the node's children, in order."""
+    if not m.children:  # a lone leaf, the common case: no walk
+        return rule(m, [])
+    values = []
+    for node in _postorder(m):
+        cut = len(values) - len(node.children)
+        kids = values[cut:]
+        del values[cut:]
+        values.append(rule(node, kids))
+    return values[0]
 
 
 def evaluate(mapping: Mapping, x) -> np.ndarray:
@@ -205,36 +231,63 @@ def _finite(f, x: np.ndarray) -> np.ndarray:
 def _compile(m: Mapping):
     """One function that applies ``m`` to a vector, or to each row of a batch.
 
-    The tree is walked once, here, not on every call. Matrices act from the
-    right, ``x.dot(A.T)``: on a batch of rows that is ``xs @ A.T``, and on a
-    1-D ``x`` it is ``A @ x``, both bit for bit, and ``dot`` skips most of
-    ``@``'s per-call overhead. The function returns a new array and never
-    its argument.
+    The tree is folded once, here, into a flat program that runs without
+    nested calls: a leaf is one function of the current value; a linear
+    combination saves its input (``None``) before its base's ops and ends
+    with ``(alpha, beta)``, which mixes the saved input with the base's
+    image; a composition runs its stages' ops in turn. Saved inputs sit on a
+    stack, so a run holds one per enclosing linear combination, not every
+    intermediate value. Each node does the arithmetic of applying it
+    directly, so the bits are those. A one-op program is that function itself.
+
+    Matrices act from the right, ``x.dot(A.T)``: on a batch of rows that is
+    ``xs @ A.T``, and on a 1-D ``x`` it is ``A @ x``, both bit for bit, and
+    ``dot`` skips most of ``@``'s per-call overhead. The function returns a
+    new array and never its argument.
     """
-    match m:
+    ops = _fold(m, _program)
+    if len(ops) == 1:
+        return ops[0]
+    ops = tuple(ops)
+
+    def run(x):
+        saved = []
+        for op in ops:
+            if op is None:
+                saved.append(x)
+            elif type(op) is tuple:
+                x = op[0] * saved.pop() + op[1] * x
+            else:
+                x = op(x)
+        return x
+
+    return run
+
+
+def _program(node: Mapping, kids: list) -> deque:
+    """``_compile``'s rule: the ops that apply ``node``."""
+    match node:
         case Identity():
-            return lambda x: x.copy()
+            return deque([lambda x: x.copy()])
         case Affine(matrix=A, offset=c):
             At = A.T
-            return lambda x: x.dot(At) + c
+            return deque([lambda x: x.dot(At) + c])
         case Rotation():
-            Rt = m.matrix().T
-            return lambda x: x.dot(Rt)
+            Rt = node.matrix().T
+            return deque([lambda x: x.dot(Rt)])
         case BoxProjection(lo=lo, hi=hi):
-            return lambda x: np.clip(x, lo, hi)
-        case LinearCombinationWithIdentity(alpha=a, beta=b, base=base):
-            f = _compile(base)
-            return lambda x: a * x + b * f(x)
-        case Composition(stages=stages):
-            fs = tuple(map(_compile, stages))
-
-            def composed(x):
-                for f in fs:
-                    x = f(x)
-                return x
-
-            return composed
-    raise TypeError(f"not a Mapping: {m!r}")
+            return deque([lambda x: np.clip(x, lo, hi)])
+        case LinearCombinationWithIdentity(alpha=a, beta=b):
+            ops = kids[0]  # the children's deques are this fold's own to extend
+            ops.appendleft(None)
+            ops.append((a, b))
+            return ops
+        case Composition():
+            ops = kids[0]
+            for more in kids[1:]:
+                ops.extend(more)
+            return ops
+    raise TypeError(f"not a Mapping: {node!r}")
 
 
 def as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
@@ -247,37 +300,33 @@ def as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
     the form for finiteness.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _as_affine(m)
+        return _fold(m, _affine_form)
 
 
-def _as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
-    match m:
-        case Identity():
-            return np.eye(m.dim), np.zeros(m.dim)
+def _affine_form(node: Mapping, kids: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """``as_affine``'s rule."""
+    match node:
+        case Identity(dim=d):
+            return np.eye(d), np.zeros(d)
         case Affine(matrix=A, offset=c):
             return A.copy(), c.copy()
         case Rotation():
-            return m.matrix(), np.zeros(2)
+            return node.matrix(), np.zeros(2)
         case BoxProjection():
             return None
-        case LinearCombinationWithIdentity(alpha=a, beta=b, base=base):
-            inner = _as_affine(base)
-            if inner is None:
-                return None
-            A, c = inner
-            return a * np.eye(m.dim) + b * A, b * c
-        case Composition(stages=stages):
-            A = np.eye(m.dim)
-            c = np.zeros(m.dim)
-            for s in stages:
-                inner = _as_affine(s)
-                if inner is None:
-                    return None
-                As, cs = inner
+        case _ if None in kids:  # a node above a box projection
+            return None
+        case LinearCombinationWithIdentity(alpha=a, beta=b):
+            A, c = kids[0]
+            return a * np.eye(node.dim) + b * A, b * c
+        case Composition():
+            A = np.eye(node.dim)
+            c = np.zeros(node.dim)
+            for As, cs in kids:
                 A = As @ A
                 c = As @ c + cs
             return A, c
-    raise TypeError(f"not a Mapping: {m!r}")
+    raise TypeError(f"not a Mapping: {node!r}")
 
 
 def collapse(m: Mapping) -> Mapping:
@@ -296,17 +345,22 @@ def collapse(m: Mapping) -> Mapping:
     matrix-vector product instead of one per node, so its last bits may
     differ.
     """
-    match m:
+    return _fold(m, _collapsed)
+
+
+def _collapsed(node: Mapping, kids: list) -> Mapping:
+    """``collapse``'s rule."""
+    match node:
         case Rotation():
-            return _folded(m) or m
-        case LinearCombinationWithIdentity(alpha=a, beta=b, base=base):
-            node = LinearCombinationWithIdentity(a, b, collapse(base))
-            if isinstance(node.base, (Affine, Identity)):
-                return _folded(node) or node
-            return node
-        case Composition(stages=stages):
+            return _folded(node) or node
+        case LinearCombinationWithIdentity(alpha=a, beta=b):
+            new = LinearCombinationWithIdentity(a, b, kids[0])
+            if isinstance(kids[0], (Affine, Identity)):
+                return _folded(new) or new
+            return new
+        case Composition():
             out, run = [], []
-            for s in map(collapse, stages):
+            for s in kids:
                 if isinstance(s, (Affine, Identity)):
                     run.append(s)
                     continue
@@ -315,7 +369,7 @@ def collapse(m: Mapping) -> Mapping:
                 run = []
             out += _folded_run(run)
             return out[0] if len(out) == 1 else Composition(tuple(out))
-    return m
+    return node
 
 
 def _folded(m: Mapping) -> Affine | None:
@@ -351,15 +405,10 @@ def scaling_map(factor: float, dim: int = 1) -> Affine:
 # {"kind": "lincomb", "alpha": 0.75, "beta": 0.25, "base": {...}}
 # {"kind": "composition", "stages": [{...}, ...]}
 # {"kind": "identity", "dim": 2}
-
-_FIELDS = {
-    "affine": {"matrix", "offset"},
-    "rotation": {"theta"},
-    "box_projection": {"lo", "hi"},
-    "lincomb": {"alpha", "beta", "base"},
-    "composition": {"stages"},
-    "identity": {"dim"},
-}
+#
+# Each JSON field is the attribute of the same name; ``_KINDS`` (below the
+# field parsers it names) maps each kind to its class and its fields, in
+# order, with the parser of each.
 
 
 def parse_mapping(doc) -> Mapping:
@@ -383,45 +432,22 @@ def _parse(doc, path: str) -> Mapping:
     if "kind" not in doc:
         raise SchemaError(f"{path}.kind: missing field")
     kind = doc["kind"]
-    if kind not in _FIELDS:
+    if kind not in _KINDS:
         raise SchemaError(f"{path}.kind: unknown mapping kind {kind!r}")
-    expected = _FIELDS[kind]
-    missing = expected - doc.keys()
+    cls, parsers = _KINDS[kind]
+    missing = parsers.keys() - doc.keys()
     if missing:
         raise SchemaError(f"{path}.{sorted(missing)[0]}: missing field")
-    extra = doc.keys() - expected - {"kind"}
+    extra = doc.keys() - parsers.keys() - {"kind"}
     if extra:
         raise SchemaError(f"{path}.{sorted(extra)[0]}: unexpected field for kind {kind!r}")
 
+    fields = {}
     try:
-        if kind == "affine":
-            return Affine(
-                _num_rows(doc["matrix"], f"{path}.matrix"),
-                _num_list(doc["offset"], f"{path}.offset"),
-            )
-        if kind == "rotation":
-            return Rotation(_num(doc["theta"], f"{path}.theta"))
-        if kind == "box_projection":
-            return BoxProjection(
-                _num_list(doc["lo"], f"{path}.lo"),
-                _num_list(doc["hi"], f"{path}.hi"),
-            )
-        if kind == "lincomb":
-            return LinearCombinationWithIdentity(
-                _num(doc["alpha"], f"{path}.alpha"),
-                _num(doc["beta"], f"{path}.beta"),
-                _parse(doc["base"], f"{path}.base"),
-            )
-        if kind == "composition":
-            stages = doc["stages"]
-            if not isinstance(stages, list):
-                raise SchemaError(f"{path}.stages: expected an array")
-            return Composition(
-                tuple(_parse(s, f"{path}.stages[{i}]") for i, s in enumerate(stages))
-            )
-        if not isinstance(doc["dim"], int) or isinstance(doc["dim"], bool):
-            raise SchemaError(f"{path}.dim: expected an integer")
-        return Identity(doc["dim"])
+        # A plain loop, not a comprehension: one stack frame per nesting level.
+        for name, parse in parsers.items():
+            fields[name] = parse(doc[name], f"{path}.{name}")
+        return cls(**fields)
     except InvariantViolation as e:
         msg = str(e)
         if msg.startswith("$"):  # already carries a path from a nested parse
@@ -435,6 +461,12 @@ def _num(v, path: str) -> float:
     if not math.isfinite(v):
         raise InvariantViolation(f"{path}: must be finite")
     return float(v)
+
+
+def _int(v, path: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SchemaError(f"{path}: expected an integer")
+    return v
 
 
 def _num_list(v, path: str) -> list[float]:
@@ -452,19 +484,43 @@ def _num_rows(v, path: str) -> list[list[float]]:
     return rows
 
 
+def _stages(v, path: str) -> tuple:
+    if not isinstance(v, list):
+        raise SchemaError(f"{path}: expected an array")
+    stages = []
+    for i, s in enumerate(v):
+        stages.append(_parse(s, f"{path}[{i}]"))
+    return tuple(stages)
+
+
+_KINDS = {
+    "affine": (Affine, {"matrix": _num_rows, "offset": _num_list}),
+    "rotation": (Rotation, {"theta": _num}),
+    "box_projection": (BoxProjection, {"lo": _num_list, "hi": _num_list}),
+    "lincomb": (LinearCombinationWithIdentity, {"alpha": _num, "beta": _num, "base": _parse}),
+    "composition": (Composition, {"stages": _stages}),
+    "identity": (Identity, {"dim": _int}),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _KINDS.items()}
+
+
 def serialize_mapping(m: Mapping) -> dict:
     """Inverse of parse_mapping, producing plain JSON-ready values."""
-    match m:
-        case Identity():
-            return {"kind": "identity", "dim": m.dim}
-        case Affine(matrix=A, offset=c):
-            return {"kind": "affine", "matrix": A.tolist(), "offset": c.tolist()}
-        case Rotation(theta=t):
-            return {"kind": "rotation", "theta": t}
-        case BoxProjection(lo=lo, hi=hi):
-            return {"kind": "box_projection", "lo": lo.tolist(), "hi": hi.tolist()}
-        case LinearCombinationWithIdentity(alpha=a, beta=b, base=base):
-            return {"kind": "lincomb", "alpha": a, "beta": b, "base": serialize_mapping(base)}
-        case Composition(stages=stages):
-            return {"kind": "composition", "stages": [serialize_mapping(s) for s in stages]}
-    raise TypeError(f"not a Mapping: {m!r}")
+    return _fold(m, _document)
+
+
+def _document(node: Mapping, kids: list) -> dict:
+    """``serialize_mapping``'s rule: the node's JSON fields, with ``kids`` in
+    the field that holds its children."""
+    kind = _KIND_OF[type(node)]
+    doc = {"kind": kind}
+    for name in _KINDS[kind][1]:
+        v = getattr(node, name)
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        elif isinstance(v, Mapping):
+            v = kids[0]
+        elif isinstance(v, tuple):
+            v = kids
+        doc[name] = v
+    return doc

@@ -274,6 +274,21 @@ def test_bench_family_nested_too_deeply_is_config_error(tmp_path):
         run_bench(doc, tmp_path)
 
 
+def test_mapping_too_deep_to_encode_is_config_error(tmp_path):
+    # Built in Python, 3,000 lincombs deep: the library walks it, but the JSON
+    # encoder behind the digest and config.json cannot, so the run refuses it
+    # with a ConfigError. bench_compare writes no config and solves it.
+    mapping = fp.line_map(0.5, 1.0)
+    for _ in range(3000):
+        mapping = fp.averaged(mapping, 0.5)
+    cfg = fp.ExperimentConfig(mapping=mapping, scheme=fp.Scheme.PICARD, x0=np.zeros(1))
+    for call in (lambda: fp.config_digest(cfg), lambda: fp.run_experiment(cfg, tmp_path)):
+        with pytest.raises(ConfigError, match="^mapping: nested too deeply for a config document$"):
+            call()
+    rows = fp.bench_compare([mapping], [{"scheme": "picard"}])
+    assert [r["status"] for r in rows] == ["converged"]
+
+
 def test_bench_scheme_validation():
     family = fp.generate_affine_family(8, 1, [0.5], 2)
     with pytest.raises(ConfigError, match=r"schemes\[0\]: lambda"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpkit as fp
-from fpkit.errors import DimensionMismatch, InvariantViolation, NonFiniteResult, SchemaError
+from fpkit.errors import ConfigError, DimensionMismatch, InvariantViolation, NonFiniteResult, SchemaError
 
 T_LINE = fp.line_map(-2.0, 100.0)  # x -> 100 - 2x
 
@@ -68,6 +68,21 @@ def test_evaluator_matches_the_matrix_formulas_bit_for_bit(d):
         (fp.Composition((fp.Affine(A1, c1), fp.Affine(A2, c2))),
          lambda x: A2 @ (A1 @ x + c1) + c2, lambda xs: (xs @ A1.T + c1) @ A2.T + c2),
     ]
+    # Nested linear combinations: each mixes its own input with its base's image.
+    lo, hi = np.full(d, -5.0), np.full(d, 5.0)
+    a2, b2 = -0.5, 1.5
+    cases += [
+        (fp.LinearCombinationWithIdentity(a, b, fp.Composition((fp.Affine(A1, c1), fp.BoxProjection(lo, hi)))),
+         lambda x: a * x + b * np.clip(A1 @ x + c1, lo, hi),
+         lambda xs: a * xs + b * np.clip(xs @ A1.T + c1, lo, hi)),
+        (fp.Composition((fp.Affine(A1, c1), fp.LinearCombinationWithIdentity(
+            a, b, fp.Composition((fp.Affine(A2, c2), fp.Affine(A1, c1)))))),
+         lambda x: a * (A1 @ x + c1) + b * (A1 @ (A2 @ (A1 @ x + c1) + c2) + c1),
+         lambda xs: a * (xs @ A1.T + c1) + b * (((xs @ A1.T + c1) @ A2.T + c2) @ A1.T + c1)),
+        (fp.LinearCombinationWithIdentity(a, b, fp.LinearCombinationWithIdentity(a2, b2, fp.Affine(A1, c1))),
+         lambda x: a * x + b * (a2 * x + b2 * (A1 @ x + c1)),
+         lambda xs: a * xs + b * (a2 * xs + b2 * (xs @ A1.T + c1))),
+    ]
     if d == 2:
         R = fp.Rotation(0.7).matrix()
         cases.append((fp.Rotation(0.7), lambda x: R @ x, lambda xs: xs @ R.T))
@@ -77,6 +92,48 @@ def test_evaluator_matches_the_matrix_formulas_bit_for_bit(d):
         assert fp.evaluate_many(m, xs).tobytes() == many(xs).tobytes(), m
         for x in xs:
             assert fp.evaluate(m, x).tobytes() == one(x).tobytes(), m
+
+
+def test_deep_trees_are_walked_without_recursion(tmp_path):
+    # Chains 10,000 lincombs deep, built in Python past the recursion limit.
+    # Every walk takes an explicit stack, so each call returns its value; only
+    # the parser and the JSON encoder have a depth limit, and each raises a
+    # typed error there. Each chain maps x to 0.5*x + 2**-10000*c, which is
+    # 0.5*x in floating point.
+    box = fp.BoxProjection([-10.0], [10.0])
+
+    def chain(inner):
+        m = inner
+        for _ in range(10_000):
+            m = fp.LinearCombinationWithIdentity(0.25, 0.5, m)
+        return m
+
+    for inner in (lambda c: fp.line_map(0.5, c), lambda c: fp.Composition((fp.line_map(0.5, c), box))):
+        m = chain(inner(1.0))
+        assert m.dim == 1
+        assert m == chain(inner(1.0))
+        assert m != chain(inner(2.0))  # differs 10,000 levels down
+        assert fp.evaluate(m, [3.0]).tolist() == [1.5]
+        assert fp.evaluate_many(m, [[3.0], [-4.0]]).tolist() == [[1.5], [-2.0]]
+        folded = fp.mappings.collapse(m)
+        if isinstance(inner(1.0), fp.Affine):
+            A, c = fp.as_affine(m)
+            assert A.tolist() == [[0.5]] and c.tolist() == [0.0]
+            assert folded == fp.Affine(A, c)
+        else:
+            assert fp.as_affine(m) is None
+            assert folded == m
+        doc = fp.serialize_mapping(m)
+        assert doc["kind"] == "lincomb" and doc["base"]["base"]["alpha"] == 0.25
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            fp.parse_mapping(doc)
+        trace = fp.picard(m, [0.0], fp.StopRule(max_iter=3))
+        assert trace.status is fp.Status.CONVERGED
+        report = fp.verify_condition(m, 1.0, "enriched", fp.PairSampler(count=200))
+        assert report.passed
+        cfg = fp.ExperimentConfig(mapping=m, scheme=fp.Scheme.PICARD, x0=np.zeros(1))
+        with pytest.raises(ConfigError, match="^mapping: nested too deeply for a config document$"):
+            fp.run_experiment(cfg, tmp_path)
 
 
 # --- affine normal form ---
