@@ -12,8 +12,12 @@ Banach contraction with factor lambda, which is what the solvers exploit.
 
 ``verify_condition`` is a refutable sampled check: a violating pair proves
 the condition fails, while a pass is evidence over the sampled pairs, not a
-proof. ``min_b_affine`` is exact (up to bisection tolerance) for affine maps,
-where the condition collapses to a convex norm inequality in b.
+proof. It scores the pairs of a ``PairSampler`` where they are drawn: the
+sampler's one PCG64 stream is cut into row blocks, each block is filled into
+buffers the blocks share and scored there, so no (count, d) pair array is
+made; ``PairSampler.draw`` copies the same blocks into two whole arrays.
+``min_b_affine`` is exact (up to bisection tolerance) for affine maps, where
+the condition collapses to a convex norm inequality in b.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .errors import ParameterOutOfRange
-from .mappings import LinearCombinationWithIdentity, Mapping, evaluate_many
+from .mappings import LinearCombinationWithIdentity, Mapping, _compile, _finite, evaluate_many
 from .spaces import (
     _L2_SCALE,
     OPERATOR_NORMS,
@@ -42,10 +47,14 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio, 0.618...
 
 DEFAULT_SLACK = 1e-9
 
-# Pair arrays are processed in row blocks of about this many entries (256 KiB
-# of float64), so the temporaries of each block stay in cache and are reused
-# instead of faulting in fresh pages. A budget rather than a row count keeps
-# low-dimensional checks in one block.
+# Far pairs closer than this times box_radius are redrawn, so x = y never
+# occurs in a sample.
+MIN_SEPARATION = 1e-14
+
+# Pairs are drawn and scored in row blocks of about this many entries (256 KiB
+# of float64), so each block's buffers and temporaries stay in cache and are
+# reused instead of faulting in fresh pages. A budget rather than a row count
+# keeps low-dimensional checks in one block.
 _BLOCK_ENTRIES = 2**15
 
 
@@ -66,7 +75,7 @@ def _as_condition_kind(kind) -> ConditionKind:
 def _row_blocks(n: int, dim: int):
     """Slices covering rows 0..n in blocks of about _BLOCK_ENTRIES entries."""
     step = max(1, _BLOCK_ENTRIES // dim)
-    return [slice(i, i + step) for i in range(0, n, step)]
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def averaged(base: Mapping, lam: float) -> LinearCombinationWithIdentity:
@@ -108,7 +117,7 @@ def _fill_uniform(rng: np.random.Generator, out: np.ndarray, r: float) -> None:
     """Fill ``out`` in place with the bits of ``rng.uniform(-r, r, out.shape)``.
 
     numpy computes uniform(low, high) as low + (high - low) * U from the same
-    doubles U that ``rng.random`` draws.
+    doubles U that ``rng.random`` draws, one uint64 of the stream each.
     """
     rng.random(out=out)
     out *= r - (-r)
@@ -124,8 +133,8 @@ class PairSampler:
     [1e-4, 1e-3] * box_radius (log-uniform), which stresses the ratio at
     small distances while staying above the scale where subtraction rounding
     would pollute the quotient. The remainder are independent uniform draws;
-    any pair closer than 1e-14 * box_radius is rejected and redrawn, so x = y
-    never occurs. The stream is a pure function of ``seed``.
+    any pair closer than MIN_SEPARATION * box_radius is rejected and redrawn,
+    so x = y never occurs. The stream is a pure function of ``seed``.
     """
 
     seed: int = 42
@@ -154,21 +163,43 @@ class PairSampler:
     def draw(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (xs, ys), each of shape (count, dim); near pairs come first.
 
-        Both arrays are allocated once and filled in place, with the stream
-        and the bits of plain ``rng.uniform`` and ``rng.standard_normal``
-        draws of each block.
+        The materialized form of the block stream that ``verify_condition``
+        scores as it goes: each block is copied into its rows, so the bits
+        are those of plain ``rng.uniform`` and ``rng.standard_normal`` draws
+        of the whole sample.
         """
         if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
             raise ParameterOutOfRange(f"dim must be an integer >= 1, got {dim!r}")
-        rng = np.random.default_rng(self.seed)
-        r = self.box_radius
-        n_near = int(round(self.count * self.near_pair_fraction))
         xs = np.empty((self.count, dim))
         ys = np.empty((self.count, dim))
+        for rows, x, y, _, _ in _PairStream(self, dim).blocks():
+            xs[rows] = x
+            ys[rows] = y
+        return xs, ys
 
-        x_near, y_near = xs[:n_near], ys[:n_near]
-        _fill_uniform(rng, x_near, r)
-        rng.standard_normal(out=y_near)  # directions, scaled below
+
+_NO_BLOCK = slice(0, 0), None, None
+
+
+class _PairStream:
+    """The pairs of one ``PairSampler`` at one dimension, in row blocks.
+
+    One PCG64 stream makes them, in this order: the near pairs' x's, their
+    normal directions and their log-uniform magnitudes; the far rows' x's,
+    then their y's; then the redraws. A direction takes a variable number of
+    draws, so the near pairs are drawn whole. A far row takes a fixed number:
+    with P the stream position after the near pairs, row i's x sits at
+    P + i*d and its y at P + (n_far + i)*d. So far rows are filled block by
+    block into buffers the blocks share, and ``bit_generator.advance`` moves
+    between the two positions.
+    """
+
+    def __init__(self, sampler: PairSampler, dim: int):
+        rng = np.random.default_rng(sampler.seed)
+        r = sampler.box_radius
+        n_near = int(round(sampler.count * sampler.near_pair_fraction))
+        x_near = rng.uniform(-r, r, size=(n_near, dim))
+        y_near = rng.standard_normal(size=(n_near, dim))  # directions, scaled below
         lens = np.linalg.norm(y_near, axis=1)
         while np.any(lens == 0.0):
             bad = lens == 0.0
@@ -178,23 +209,103 @@ class PairSampler:
         y_near *= (mags / lens)[:, None]
         y_near += x_near
 
-        x_far, y_far = xs[n_near:], ys[n_near:]
-        _fill_uniform(rng, x_far, r)
-        _fill_uniform(rng, y_far, r)
-        floor = 1e-14 * r
-        l2 = VECTOR_NORMS[NormKind.L2]
-        bad = np.empty(len(x_far), dtype=bool)
+        self.near = x_near, y_near
+        self.n_far = sampler.count - n_near
+        self.dim = dim
+        self._r = r
+        self._rng = rng
+        self._pos = 0  # doubles drawn since P
+        self._held = []  # (rows, xs, ys) of the blocks held back for redraws
+        self._last = _NO_BLOCK  # the block the buffers hold, if it was yielded
+
+    def _fill(self, out: np.ndarray, at: int) -> None:
+        """Fill ``out`` with the box-uniform doubles from position P + ``at`` on."""
+        if at != self._pos:
+            # PCG64's period is 2**128, so this moves by at - pos, back too.
+            self._rng.bit_generator.advance((at - self._pos) % 2**128)
+        _fill_uniform(self._rng, out, self._r)
+        self._pos = at + out.size
+
+    def blocks(self):
+        """Yield ``(rows, xs, ys, diffs, dists)`` once for each row block of the sample.
+
+        ``rows`` is the slice of the sample that the block holds, with its
+        final values: the near rows copied from their arrays, the far rows
+        drawn in place. ``diffs`` is ``xs - ys`` and ``dists`` its l2 row
+        norms. The next block reuses all these arrays, and the caller may
+        overwrite ``diffs`` and ``dists``. A block with a far pair closer than
+        MIN_SEPARATION * box_radius is copied and held back; once every far
+        row is drawn, the too-close pairs are redrawn from the stream's end,
+        in rounds as in one whole draw, and the held blocks come last.
+        """
+        d, n_far = self.dim, self.n_far
+        x_near, y_near = self.near
+        n_near = len(x_near)
+        xbuf, ybuf, dbuf = np.empty((3, min(max(1, _BLOCK_ENTRIES // d), n_near + n_far), d))
+        floor = MIN_SEPARATION * self._r
+        far = []  # the far rows of the held blocks, in order
+        for rows in _row_blocks(n_near + n_far, d):
+            m = rows.stop - rows.start
+            xs, ys, diffs = xbuf[:m], ybuf[:m], dbuf[:m]
+            k = min(m, max(0, n_near - rows.start))  # near rows in the block
+            xs[:k] = x_near[rows.start : rows.start + k]
+            ys[:k] = y_near[rows.start : rows.start + k]
+            if k < m:
+                i = rows.start + k - n_near  # the block's first far row, counted from 0
+                self._fill(xs[k:], i * d)
+                self._fill(ys[k:], (n_far + i) * d)
+            dists = _distances(np.subtract(xs, ys, out=diffs))
+            if (dists[k:] < floor).any():
+                x, y = xs.copy(), ys.copy()
+                self._held.append((rows, x, y))
+                far.append((x[k:], y[k:]))
+                self._last = _NO_BLOCK  # the buffers now hold this block
+            else:
+                self._last = rows, xs, ys
+                yield rows, xs, ys, diffs, dists
+        if not far:
+            return
+
+        xs = np.concatenate([x for x, _ in far])
+        ys = np.concatenate([y for _, y in far])
         while True:
-            with np.errstate(over="ignore"):  # a distance past the float range is inf
-                for blk in _row_blocks(len(x_far), dim):
-                    bad[blk] = l2(x_far[blk] - y_far[blk]) < floor
+            bad = _distances(xs - ys) < floor
             if not bad.any():
                 break
-            k = int(bad.sum())
-            x_far[bad] = rng.uniform(-r, r, size=(k, dim))
-            y_far[bad] = rng.uniform(-r, r, size=(k, dim))
+            new = np.empty((2, int(bad.sum()), d))
+            self._fill(new[0], self._pos)
+            self._fill(new[1], self._pos)
+            xs[bad], ys[bad] = new
+        start = 0
+        for (x, y), (rows, x_block, y_block) in zip(far, self._held):
+            x[:], y[:] = xs[start : start + len(x)], ys[start : start + len(x)]
+            start += len(x)
+            yield rows, x_block, y_block, x_block - y_block, _distances(x_block - y_block)
 
-        return xs, ys
+    def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``i``'s final (x, y), as new 1-D arrays, once ``blocks`` is done.
+
+        A near row, a held-back row or a row of the last block in the buffers
+        is read from its arrays; any other far row is drawn again at its
+        stream positions.
+        """
+        x_near, y_near = self.near
+        if i < len(x_near):
+            return x_near[i].copy(), y_near[i].copy()
+        for rows, xs, ys in (*self._held, self._last):
+            if rows.start <= i < rows.stop:
+                return xs[i - rows.start].copy(), ys[i - rows.start].copy()
+        j = i - len(x_near)
+        x, y = np.empty(self.dim), np.empty(self.dim)
+        self._fill(x, j * self.dim)
+        self._fill(y, (self.n_far + j) * self.dim)
+        return x, y
+
+
+def _distances(diffs: np.ndarray) -> np.ndarray:
+    """l2 row norms of ``diffs``; one past the float range reads inf."""
+    with np.errstate(over="ignore"):
+        return VECTOR_NORMS[NormKind.L2](diffs)
 
 
 @dataclass
@@ -227,20 +338,26 @@ class EnrichmentReport:
         }
 
 
-def _condition_ratios(
-    mapping: Mapping,
-    b: float,
-    kind: ConditionKind,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    norm_kind: NormKind,
-) -> np.ndarray:
+def _score(apply, b: float, factor: float, norm_kind: NormKind, xs, ys, diffs, dists, out) -> None:
+    """Write the condition ratio of each row pair of ``xs`` and ``ys`` into ``out``.
+
+    ``apply`` maps a batch of rows. A row whose image is not finite has a
+    left-hand side that is not finite either, so it is rescored below, where
+    ``_finite`` raises NonFiniteResult for it. ``factor`` is the right-hand
+    side's, b + 1 or 1. ``diffs`` holds ``xs - ys`` and is overwritten;
+    ``dists``, its l2 row norms, is the right-hand side's norm when
+    ``norm_kind`` is l2, and is then scaled in place. The left-hand side is
+    built in ``diffs`` as (b*(x - y) + Tx) - Ty, the order of one whole-batch
+    expression, so every ratio keeps its bits.
+    """
     row_norms = VECTOR_NORMS[norm_kind]
-    diffs = xs - ys
-    factor = b + 1.0 if kind is ConditionKind.ENRICHED else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = row_norms(b * diffs + evaluate_many(mapping, xs) - evaluate_many(mapping, ys))
-        rhs = factor * row_norms(diffs)
+        rhs = dists if norm_kind is NormKind.L2 else row_norms(diffs)
+        rhs *= factor
+        diffs *= b
+        diffs += apply(xs)
+        diffs -= apply(ys)
+        lhs = row_norms(diffs)
         # On large boxes a side can overflow although every operand is
         # finite: an l2 square past the float range from about 1.3e154 on,
         # a sum or a product near the radius limit. Those rows are rescored
@@ -248,15 +365,17 @@ def _condition_ratios(
         # so their ratio is unchanged and the other rows keep their bits.
         huge = ~(np.isfinite(lhs) & np.isfinite(rhs))
         if huge.any():
-            scaled = diffs[huge] / _L2_SCALE
-            lhs[huge] = row_norms(
-                b * scaled
-                + evaluate_many(mapping, xs[huge]) / _L2_SCALE
-                - evaluate_many(mapping, ys[huge]) / _L2_SCALE
-            )
+            scaled = (xs[huge] - ys[huge]) / _L2_SCALE
+            tx, ty = _finite(apply, xs[huge]), _finite(apply, ys[huge])
+            lhs[huge] = row_norms(b * scaled + tx / _L2_SCALE - ty / _L2_SCALE)
             rhs[huge] = factor * row_norms(scaled)
         # A ratio past the float range reads inf, which refutes the condition.
-        return lhs / rhs
+        np.divide(lhs, rhs, out=out)
+
+
+def _factor(b: float, kind: ConditionKind) -> float:
+    """The condition's right-hand side is this times ||x - y||."""
+    return b + 1.0 if kind is ConditionKind.ENRICHED else 1.0
 
 
 def condition_ratio(
@@ -271,7 +390,12 @@ def condition_ratio(
     xs = np.asarray(x, dtype=float)[None, :]
     ys = np.asarray(y, dtype=float)[None, :]
     kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
-    return float(_condition_ratios(mapping, float(b), kind, xs, ys, norm_kind)[0])
+    b = float(b)
+    diffs = xs - ys
+    out = np.empty(1)
+    apply = partial(evaluate_many, mapping)
+    _score(apply, b, _factor(b, kind), norm_kind, xs, ys, diffs, _distances(diffs), out)
+    return float(out[0])
 
 
 def verify_condition(
@@ -289,29 +413,35 @@ def verify_condition(
     proof of failure. ``passed=True`` only says no sampled pair violated the
     inequality beyond ``slack``.
 
-    Pairs are scored in row blocks of max(1, 2**15 // d) rows, so besides
-    the two (count, d) pair arrays the check holds only one block's
-    temporaries and the ratio vector. Every row's ratio is the same as in
-    one whole-batch pass.
+    Each row block of the sampler's stream is scored in the buffers it was
+    drawn into, max(1, 2**15 // d) rows at a time, so no (count, d) pair
+    array exists: the check holds the near pairs, one block's temporaries
+    and the ratio vector. In l2 the far rows' distances from the rejection
+    test are the right-hand side. Every ratio, and so the report, is the
+    same as in one whole-batch pass; the witness is the final pair of the
+    row ``np.argmax`` picks, read back from the stream.
     """
     b = float(b)
     if b < 0.0 or not math.isfinite(b):
         raise ParameterOutOfRange(f"b must be finite and >= 0, got {b}")
     kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
     sampler = sampler if sampler is not None else PairSampler()
-    xs, ys = sampler.draw(mapping.dim)
+    stream = _PairStream(sampler, mapping.dim)
+    apply = _compile(mapping)
+    factor = _factor(b, kind)
     ratios = np.empty(sampler.count)
-    for blk in _row_blocks(sampler.count, mapping.dim):
-        ratios[blk] = _condition_ratios(mapping, b, kind, xs[blk], ys[blk], norm_kind)
+    for rows, xs, ys, diffs, dists in stream.blocks():
+        _score(apply, b, factor, norm_kind, xs, ys, diffs, dists, ratios[rows])
     idx = int(np.argmax(ratios))  # first index on ties
     max_ratio = float(ratios[idx])
+    witness_x, witness_y = stream.pair(idx)
     return EnrichmentReport(
         kind=kind,
         b=b,
         pairs_tested=sampler.count,
         max_ratio=max_ratio,
-        witness_x=xs[idx].copy(),
-        witness_y=ys[idx].copy(),
+        witness_x=witness_x,
+        witness_y=witness_y,
         passed=max_ratio <= 1.0 + slack,
         slack=slack,
     )

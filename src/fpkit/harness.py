@@ -391,8 +391,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     deeply for a config document, and IoError when artifacts cannot be
     written.
     """
+    digest = config_digest(cfg)  # refuses a config before any directory exists
     out = _out_dir(out_dir if out_dir is not None else cfg.output_dir)
-    digest = config_digest(cfg)
     t0 = time.perf_counter()
     status, trace, extras = _dispatch(cfg)
     summary = RunSummary(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,8 +53,35 @@ class Mapping:
 
     __hash__ = None  # mutable-ish payloads; not meant for dict keys
 
+    def __repr__(self):
+        # The dataclass form, e.g. ``Composition(stages=(Identity(dim=1),))``,
+        # from an explicit-stack walk: a node expands into tokens, its
+        # children among them, and the tokens are joined once.
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            tokens = [f"{type(item).__name__}("]
+            for i, f in enumerate(fields(item)):
+                v = getattr(item, f.name)
+                tokens.append(f"{', ' if i else ''}{f.name}=")
+                if isinstance(v, Mapping):
+                    tokens.append(v)
+                elif isinstance(v, tuple):
+                    tokens.append("(")
+                    for j, stage in enumerate(v):
+                        tokens += [", ", stage] if j else [stage]
+                    tokens.append(",)" if len(v) == 1 else ")")
+                else:
+                    tokens.append(repr(v))
+            tokens.append(")")
+            stack.extend(reversed(tokens))
+        return "".join(out)
 
-@dataclass(eq=False)
+
+@dataclass(eq=False, repr=False)
 class Affine(Mapping):
     """x -> matrix @ x + offset."""
 
@@ -74,7 +101,7 @@ class Affine(Mapping):
         return self.matrix.shape[0]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Rotation(Mapping):
     """Rotation of the plane by ``theta`` radians. Two dimensions only."""
 
@@ -91,7 +118,7 @@ class Rotation(Mapping):
         return np.array([[c, -s], [s, c]])
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class BoxProjection(Mapping):
     """Componentwise clamp onto the box [lo, hi]. Nonexpansive in every norm here."""
 
@@ -111,7 +138,7 @@ class BoxProjection(Mapping):
         return self.lo.size
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class LinearCombinationWithIdentity(Mapping):
     """x -> alpha*x + beta*base(x).
 
@@ -135,7 +162,7 @@ class LinearCombinationWithIdentity(Mapping):
         self.children = (self.base,)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Composition(Mapping):
     """Pipeline of self-maps, applied first-to-last: stages[0] acts first."""
 
@@ -156,7 +183,7 @@ class Composition(Mapping):
         self.dim = stages[0].dim
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Identity(Mapping):
     """x -> x."""
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 import fpkit as fp
+from fpkit import enrichment
 from fpkit.enrichment import DEFAULT_SLACK
 from fpkit.errors import DimensionMismatch, NonFiniteResult, ParameterOutOfRange
 from fpkit.iteration import DIVERGENCE_GRACE, DIVERGENCE_WINDOW
@@ -142,12 +143,15 @@ def reference_write_trace_csv(trace: fp.IterationTrace, path) -> None:
             writer.writerow([i, repr(res), "" if ratio is None else repr(ratio)])
 
 
-def reference_draw(sampler: fp.PairSampler, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def reference_draw(
+    sampler: fp.PairSampler, dim: int, rounds: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The straightforward pair draw, the reference for ``fp.PairSampler.draw``.
 
     Near and far pairs are drawn into arrays of their own with
-    ``rng.uniform`` and stacked at the end. ``draw`` fills two preallocated
-    arrays in place; its output must equal this one bit for bit.
+    ``rng.uniform`` and stacked at the end. ``draw`` streams the far rows in
+    blocks; its output must equal this one bit for bit. Each round of
+    redraws appends the far-row indices it redraws to ``rounds``, if given.
     """
     rng = np.random.default_rng(sampler.seed)
     r = sampler.box_radius
@@ -166,11 +170,13 @@ def reference_draw(sampler: fp.PairSampler, dim: int) -> tuple[np.ndarray, np.nd
 
     x_far = rng.uniform(-r, r, size=(n_far, dim))
     y_far = rng.uniform(-r, r, size=(n_far, dim))
-    floor = 1e-14 * r
+    floor = enrichment.MIN_SEPARATION * r
     while True:
         bad = np.linalg.norm(x_far - y_far, axis=1) < floor
         if not bad.any():
             break
+        if rounds is not None:
+            rounds.append(np.flatnonzero(bad))
         k = int(bad.sum())
         x_far[bad] = rng.uniform(-r, r, size=(k, dim))
         y_far[bad] = rng.uniform(-r, r, size=(k, dim))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fpkit as fp
-from fpkit import spaces
+from fpkit import enrichment, spaces
 from fpkit.enrichment import B_TOL
 from fpkit.errors import NonFiniteResult, ParameterOutOfRange
 
@@ -194,6 +194,59 @@ def test_verify_matches_the_whole_batch_reference_bit_for_bit():
     assert checks == 1440
 
 
+def test_redraws_match_the_reference_bit_for_bit(monkeypatch):
+    # A far pair within 1e-14 * box_radius is too rare to occur, so the
+    # separation is raised: in the dense cases about a fifth of the far pairs
+    # are too close and redraws run for three rounds or more in every block,
+    # in the sparse ones a few blocks hold one too-close pair. A block budget
+    # of 2**10 entries spreads each sample over 4 blocks, and the last case
+    # keeps the real budget. Held-back blocks, the redraws from the stream's
+    # end and the witnesses read from them must equal one whole draw's bits.
+    checks = 0
+    cases = [  # (d, count, block budget, separation, dense)
+        (1, 3500, 2**10, 0.2, True),
+        (1, 3500, 2**10, 0.0005, False),
+        (2, 1700, 2**10, 0.5, True),
+        (2, 1700, 2**10, 0.03, False),
+        (8, 450, 2**10, 1.8, True),
+        (8, 450, 2**10, 0.9, False),
+        (8, 3 * 4096 + 5, 2**15, 1.8, True),
+    ]
+    for d, count, budget, separation, dense in cases:
+        monkeypatch.setattr(enrichment, "_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(enrichment, "MIN_SEPARATION", separation)
+        step = budget // d
+        assert count > 3 * step
+        for seed, frac in ((3, 0.0), (4, 0.2)):
+            sampler = fp.PairSampler(seed=seed, count=count, near_pair_fraction=frac)
+            rounds = []
+            ref_xs, ref_ys = reference_draw(sampler, d, rounds)
+            n_near = int(round(count * frac))
+            held = len(set((rounds[0] + n_near) // step)) if rounds else 0
+            if dense:
+                assert len(rounds) >= 3 and held >= 3, (d, seed, rounds)
+            else:
+                assert held < -(-count // step), (d, seed, rounds)
+            xs, ys = sampler.draw(d)
+            np.testing.assert_array_equal(xs, ref_xs)
+            np.testing.assert_array_equal(ys, ref_ys)
+
+            rng = np.random.default_rng(seed)
+            mapping = fp.Affine(rng.standard_normal((d, d)), rng.standard_normal(d))
+            if seed % 2:
+                mapping = fp.Composition([mapping, fp.BoxProjection(-np.ones(d), np.ones(d))])
+            for kind in fp.ConditionKind:
+                for norm_kind in fp.NormKind:
+                    got = fp.verify_condition(mapping, 0.5, kind, sampler, norm_kind=norm_kind)
+                    want = reference_verify(mapping, 0.5, kind, sampler, norm_kind=norm_kind)
+                    assert repr(got.max_ratio) == repr(want.max_ratio), (d, seed, kind)
+                    np.testing.assert_array_equal(got.witness_x, want.witness_x)
+                    np.testing.assert_array_equal(got.witness_y, want.witness_y)
+                    assert got.passed == want.passed
+                    checks += 1
+    assert checks == 84
+
+
 # --- sampled verification ---
 
 
@@ -309,10 +362,13 @@ def test_verify_ratio_past_the_float_range_reads_inf():
 
 
 def test_verify_overflowing_mapping_raises_non_finite():
-    with pytest.raises(
-        NonFiniteResult, match="^mapping evaluation overflowed to a non-finite vector$"
-    ):
-        fp.verify_condition(fp.scaling_map(1e307, 2), 1.0, fp.ConditionKind.ENRICHED)
+    # Every image overflows on the default box; on a box of radius 20 only
+    # the rows with |x| > 17.97 do.
+    for sampler in (None, fp.PairSampler(box_radius=20.0)):
+        with pytest.raises(
+            NonFiniteResult, match="^mapping evaluation overflowed to a non-finite vector$"
+        ):
+            fp.verify_condition(fp.scaling_map(1e307, 2), 1.0, fp.ConditionKind.ENRICHED, sampler)
 
 
 def test_verify_memory_is_about_the_pair_arrays():
@@ -329,6 +385,23 @@ def test_verify_memory_is_about_the_pair_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 2 * 10_000 * 64 * 8, peak
+
+
+def test_verify_streams_its_pairs():
+    # Pairs are scored in the block buffers they are drawn into, so a check
+    # at d = 64 holds the near pairs (2.05 MB), one block's arrays and the
+    # ratios: under half the 10.24 MB of two (10_000, 64) pair arrays.
+    (mapping,) = fp.generate_affine_family(0, 64, np.linspace(0.1, 1.8, 64), 1)
+    sampler = fp.PairSampler(count=10_000)
+    fp.verify_condition(mapping, 1.0, fp.ConditionKind.ENRICHED, sampler)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fp.verify_condition(mapping, 1.0, fp.ConditionKind.ENRICHED, sampler)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2 * 10_000 * 64 * 8, peak
 
 
 # --- the reduction identity ---

@@ -289,6 +289,21 @@ def test_mapping_too_deep_to_encode_is_config_error(tmp_path):
     assert [r["status"] for r in rows] == ["converged"]
 
 
+def test_refused_config_creates_no_output_directory(tmp_path):
+    # The digest refuses the 3,000-level chain before the run makes out/.
+    mapping = fp.line_map(0.5, 1.0)
+    for _ in range(3000):
+        mapping = fp.averaged(mapping, 0.5)
+    out = tmp_path / "out"
+    cfg = fp.ExperimentConfig(
+        mapping=mapping, scheme=fp.Scheme.PICARD, x0=np.zeros(1), output_dir=str(out)
+    )
+    for target in (None, out / "given"):
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            fp.run_experiment(cfg, target)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_scheme_validation():
     family = fp.generate_affine_family(8, 1, [0.5], 2)
     with pytest.raises(ConfigError, match=r"schemes\[0\]: lambda"):

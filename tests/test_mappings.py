@@ -136,6 +136,24 @@ def test_deep_trees_are_walked_without_recursion(tmp_path):
             fp.run_experiment(cfg, tmp_path)
 
 
+def test_repr_is_the_dataclass_form_at_any_depth():
+    m = fp.Composition(
+        (fp.averaged(fp.line_map(0.5, 1.0), 0.25), fp.BoxProjection([-1.0], [1.0]), fp.Identity(1))
+    )
+    assert repr(m) == (
+        "Composition(stages=(LinearCombinationWithIdentity(alpha=0.75, beta=0.25, "
+        "base=Affine(matrix=array([[0.5]]), offset=array([1.]))), "
+        "BoxProjection(lo=array([-1.]), hi=array([1.])), Identity(dim=1)))"
+    )
+    assert repr(fp.Composition((fp.Rotation(0.5),))) == "Composition(stages=(Rotation(theta=0.5),))"
+    deep = fp.line_map(0.5, 1.0)
+    for _ in range(10_000):
+        deep = fp.averaged(deep, 0.5)
+    text = repr(deep)
+    assert text.count("LinearCombinationWithIdentity(alpha=0.5, beta=0.5, base=") == 10_000
+    assert text.endswith("Affine(matrix=array([[0.5]]), offset=array([1.]))" + ")" * 10_000)
+
+
 # --- affine normal form ---
 
 
