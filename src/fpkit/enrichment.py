@@ -178,9 +178,6 @@ class PairSampler:
         return xs, ys
 
 
-_NO_BLOCK = slice(0, 0), None, None
-
-
 class _PairStream:
     """The pairs of one ``PairSampler`` at one dimension, in row blocks.
 
@@ -216,7 +213,6 @@ class _PairStream:
         self._rng = rng
         self._pos = 0  # doubles drawn since P
         self._held = []  # (rows, xs, ys) of the blocks held back for redraws
-        self._last = _NO_BLOCK  # the block the buffers hold, if it was yielded
 
     def _fill(self, out: np.ndarray, at: int) -> None:
         """Fill ``out`` with the box-uniform doubles from position P + ``at`` on."""
@@ -259,9 +255,7 @@ class _PairStream:
                 x, y = xs.copy(), ys.copy()
                 self._held.append((rows, x, y))
                 far.append((x[k:], y[k:]))
-                self._last = _NO_BLOCK  # the buffers now hold this block
             else:
-                self._last = rows, xs, ys
                 yield rows, xs, ys, diffs, dists
         if not far:
             return
@@ -280,19 +274,18 @@ class _PairStream:
         for (x, y), (rows, x_block, y_block) in zip(far, self._held):
             x[:], y[:] = xs[start : start + len(x)], ys[start : start + len(x)]
             start += len(x)
-            yield rows, x_block, y_block, x_block - y_block, _distances(x_block - y_block)
+            yield rows, *_with_distances(x_block, y_block)
 
     def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Row ``i``'s final (x, y), as new 1-D arrays, once ``blocks`` is done.
 
-        A near row, a held-back row or a row of the last block in the buffers
-        is read from its arrays; any other far row is drawn again at its
-        stream positions.
+        A near row or a held-back row is read from its arrays; any other far
+        row kept its first draw, so it is drawn again at its stream positions.
         """
         x_near, y_near = self.near
         if i < len(x_near):
             return x_near[i].copy(), y_near[i].copy()
-        for rows, xs, ys in (*self._held, self._last):
+        for rows, xs, ys in self._held:
             if rows.start <= i < rows.stop:
                 return xs[i - rows.start].copy(), ys[i - rows.start].copy()
         j = i - len(x_near)
@@ -306,6 +299,12 @@ def _distances(diffs: np.ndarray) -> np.ndarray:
     """l2 row norms of ``diffs``; one past the float range reads inf."""
     with np.errstate(over="ignore"):
         return VECTOR_NORMS[NormKind.L2](diffs)
+
+
+def _with_distances(xs: np.ndarray, ys: np.ndarray):
+    """``(xs, ys, diffs, dists)`` for ``_score``: diffs = xs - ys, dists its l2 row norms."""
+    diffs = xs - ys
+    return xs, ys, diffs, _distances(diffs)
 
 
 @dataclass
@@ -390,11 +389,9 @@ def condition_ratio(
     xs = np.asarray(x, dtype=float)[None, :]
     ys = np.asarray(y, dtype=float)[None, :]
     kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
-    b = float(b)
-    diffs = xs - ys
-    out = np.empty(1)
+    b, out = float(b), np.empty(1)
     apply = partial(evaluate_many, mapping)
-    _score(apply, b, _factor(b, kind), norm_kind, xs, ys, diffs, _distances(diffs), out)
+    _score(apply, b, _factor(b, kind), norm_kind, *_with_distances(xs, ys), out)
     return float(out[0])
 
 
@@ -419,7 +416,8 @@ def verify_condition(
     and the ratio vector. In l2 the far rows' distances from the rejection
     test are the right-hand side. Every ratio, and so the report, is the
     same as in one whole-batch pass; the witness is the final pair of the
-    row ``np.argmax`` picks, read back from the stream.
+    row ``np.argmax`` picks, read from the near arrays or a held block, or
+    drawn again at its stream positions.
     """
     b = float(b)
     if b < 0.0 or not math.isfinite(b):
