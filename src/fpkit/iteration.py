@@ -118,12 +118,14 @@ def picard(
     the averaged map of an affine T) costs one matrix-vector product per
     step, and compiled once into a function that applies it without walking
     the tree again. Steps run in blocks: the compiled map is applied k times
-    back to back, the block's iterate norms and step norms are taken in one
-    row-norm call each, and the stop rule then walks those floats step by
-    step in the order of a one-step loop. Blocks hold 8 steps, then 16 and
-    32, then 64 each, so a short run computes few steps past its stop; those
-    steps are discarded, and arithmetic that overflows in them is silent
-    and leaves no trace.
+    back to back, each step writing its image into the next row of one
+    ``(k+1, d)`` array, the block's iterate norms and step norms are taken
+    in one row-norm call each, and the stop rule then walks those floats step
+    by step in the order of a one-step loop. Only the final point and the
+    stored iterates are copied out of that array. Blocks hold 8 steps, then
+    16 and 32, then 64 each, so a short run computes few steps past its stop;
+    those steps are discarded, and arithmetic that overflows in them is
+    silent and leaves no trace.
 
     A finite norm proves every entry finite, so only a step whose norm is
     infinite or NaN tests its entries: non-finite entries end the run
@@ -136,11 +138,7 @@ def picard(
     stop = stop if stop is not None else StopRule()
     norm_kind = as_norm_kind(norm_kind)
     row_norms = VECTOR_NORMS[norm_kind]
-    x = as_vector(x0, name="x0")
-    if x.size != mapping.dim:
-        raise DimensionMismatch(
-            f"mapping of dimension {mapping.dim} iterated from x0 of dimension {x.size}"
-        )
+    x = _start(mapping, x0)
     step = _compile(collapse(mapping))
     eps_abs, eps_rel, norm_cap = stop.eps_abs, stop.eps_rel, stop.norm_cap
 
@@ -157,16 +155,17 @@ def picard(
             k = min(size, left)
             left -= k
             size = min(2 * size, _LAST_BLOCK)
-            block = [x]
+            rows = np.empty((k + 1, x.size))
+            rows[0] = x
             y = x
-            for _ in range(k):
-                y = step(y)
-                block.append(y)
-            rows = np.array(block)
+            for row in rows[1:]:  # each row's view is made as the step needs it
+                step(y, row)
+                y = row
             x_norms = row_norms(rows[1:]).tolist()
             steps = row_norms(rows[1:] - rows[:-1]).tolist()
-            for x_next, x_norm, r in zip(block[1:], x_norms, steps):
-                if not math.isfinite(x_norm) and not np.isfinite(x_next).all():
+            before = len(residuals)
+            for x_norm, r in zip(x_norms, steps):
+                if not math.isfinite(x_norm) and not np.isfinite(rows[len(residuals) - before + 1]).all():
                     status = Status.DIVERGED
                     break
                 if residuals:
@@ -176,9 +175,6 @@ def picard(
                     ratios.append(None)
                 residuals.append(r)
                 prev = r
-                if iterates is not None:
-                    iterates.append(x_next)
-                x = x_next
                 if r <= eps_abs + eps_rel * x_norm:
                     status = Status.CONVERGED
                     break
@@ -188,16 +184,30 @@ def picard(
                 if len(residuals) > DIVERGENCE_GRACE and growth_streak >= DIVERGENCE_WINDOW:
                     status = Status.DIVERGED
                     break
+            done = len(residuals) - before
+            x = rows[done]
+            if iterates is not None:
+                iterates += [row.copy() for row in rows[1:done + 1]]
 
     return IterationTrace(
         residuals=residuals,
         ratios=ratios,
         status=status,
-        final=x,
+        final=x.copy(),
         iterations=len(residuals),
         norm_kind=norm_kind,
         iterates=iterates,
     )
+
+
+def _start(mapping: Mapping, x0) -> np.ndarray:
+    """``x0`` as a finite float vector of the mapping's dimension."""
+    x = as_vector(x0, name="x0")
+    if x.size != mapping.dim:
+        raise DimensionMismatch(
+            f"mapping of dimension {mapping.dim} iterated from x0 of dimension {x.size}"
+        )
+    return x
 
 
 def krasnoselskij(
@@ -249,9 +259,10 @@ def solve_modified(
     Uses lambda = 1/(b+1), the value that turns the condition into a Banach
     contraction bound with factor lambda. Requires b > 0: at b = 0 the
     condition only says the map is nonexpansive and the contraction guarantee
-    (and uniqueness) evaporates. With ``verify=True`` the sampled condition
-    check runs first and its report is attached; a failed check does not stop
-    the iteration, since the sampled check can refute but never certify.
+    (and uniqueness) evaporates. ``x0`` and its dimension are validated
+    first. With ``verify=True`` the sampled condition check runs next and its
+    report is attached; a failed check does not stop the iteration, since the
+    sampled check can refute but never certify.
     """
     b = float(b)
     if not (b > 0.0) or not math.isfinite(b):
@@ -261,6 +272,7 @@ def solve_modified(
             "(no convergence guarantee)"
         )
     lam = 1.0 / (b + 1.0)
+    x0 = _start(mapping, x0)  # a bad start fails before the sampled check runs
     report = None
     if verify:
         report = verify_condition(

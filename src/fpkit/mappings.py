@@ -259,62 +259,112 @@ def _compile(m: Mapping):
     """One function that applies ``m`` to a vector, or to each row of a batch.
 
     The tree is folded once, here, into a flat program that runs without
-    nested calls: a leaf is one function of the current value; a linear
-    combination saves its input (``None``) before its base's ops and ends
-    with ``(alpha, beta)``, which mixes the saved input with the base's
-    image; a composition runs its stages' ops in turn. Saved inputs sit on a
-    stack, so a run holds one per enclosing linear combination, not every
-    intermediate value. Each node does the arithmetic of applying it
-    directly, so the bits are those. A one-op program is that function itself.
+    nested calls. A leaf is one op, a function of the current value. A linear
+    combination whose base is a run of leaf ops (a leaf, or a composition of
+    leaves) becomes one fused op, which applies the run and then mixes. Any
+    other linear combination saves its input (``None``) before its base's ops
+    and ends with a mix ``(alpha, beta)`` of the saved input and the base's
+    image. A fused op is never fused again, so no op calls another. A
+    composition runs its stages' ops in turn. Saved inputs sit on a stack, so
+    a run holds one per enclosing linear combination, not every intermediate
+    value. A one-op program is that op itself.
 
-    Matrices act from the right, ``x.dot(A.T)``: on a batch of rows that is
-    ``xs @ A.T``, and on a 1-D ``x`` it is ``A @ x``, both bit for bit, and
-    ``dot`` skips most of ``@``'s per-call overhead. The function returns a
-    new array and never its argument.
+    Each op does the arithmetic of applying its node directly, so the bits are
+    those. A mix is ``alpha * x + beta * y`` with the coefficients held as 0-d
+    arrays, which numpy multiplies faster than Python floats. Matrices act from
+    the right, ``x.dot(A.T)``: on a batch of rows that is ``xs @ A.T``, and on
+    a 1-D ``x`` it is ``A @ x``, both bit for bit, and ``dot`` skips most of
+    ``@``'s per-call overhead. A box is ``x.clip``, the method ``np.clip``
+    dispatches to.
+
+    The function takes an optional ``out``, a C-contiguous array of the
+    image's shape that does not overlap ``x``: the last op writes the image
+    there and returns it. Without ``out`` it returns a new array. It never
+    returns or changes its argument.
     """
-    ops = _fold(m, _program)
+    ops, _ = _fold(m, _program)
     if len(ops) == 1:
         return ops[0]
-    ops = tuple(ops)
+    *body, last = ops
 
-    def run(x):
+    def run(x, out=None):
         saved = []
-        for op in ops:
+        for op in body:
             if op is None:
                 saved.append(x)
             elif type(op) is tuple:
-                x = op[0] * saved.pop() + op[1] * x
+                x = np.add(op[0] * saved.pop(), op[1] * x)
             else:
                 x = op(x)
-        return x
+        if type(last) is tuple:
+            return np.add(last[0] * saved.pop(), last[1] * x, out)
+        return last(x, out)
 
     return run
 
 
-def _program(node: Mapping, kids: list) -> deque:
-    """``_compile``'s rule: the ops that apply ``node``."""
+def _program(node: Mapping, kids: list) -> tuple[deque, bool]:
+    """``_compile``'s rule: the ops that apply ``node``, and whether they
+    are all leaf ops."""
     match node:
         case Identity():
-            return deque([lambda x: x.copy()])
+            return deque([_copy]), True
         case Affine(matrix=A, offset=c):
-            At = A.T
-            return deque([lambda x: x.dot(At) + c])
+            return deque([_affine(A.T, c)]), True
         case Rotation():
             Rt = node.matrix().T
-            return deque([lambda x: x.dot(Rt)])
+            return deque([lambda x, out=None: x.dot(Rt, out)]), True
         case BoxProjection(lo=lo, hi=hi):
-            return deque([lambda x: np.clip(x, lo, hi)])
+            return deque([lambda x, out=None: x.clip(lo, hi, out)]), True
         case LinearCombinationWithIdentity(alpha=a, beta=b):
-            ops = kids[0]  # the children's deques are this fold's own to extend
+            ops, leaves = kids[0]  # the children's deques are this fold's own to extend
+            a, b = np.array(a), np.array(b)
+            if leaves:
+                return deque([_fused(ops, a, b)]), False
             ops.appendleft(None)
             ops.append((a, b))
-            return ops
+            return ops, False
         case Composition():
-            ops = kids[0]
-            for more in kids[1:]:
+            ops, leaves = kids[0]
+            for more, more_leaves in kids[1:]:
                 ops.extend(more)
-            return ops
+                leaves = leaves and more_leaves
+            return ops, leaves
     raise TypeError(f"not a Mapping: {node!r}")
+
+
+def _copy(x, out=None):
+    if out is None:
+        return x.copy()
+    out[...] = x
+    return out
+
+
+def _affine(At: np.ndarray, c: np.ndarray):
+    """The op ``x -> x.dot(At) + c``. In 1-d, where numpy's in-place add
+    costs twice a fresh one, the sum is written to ``out`` directly; in
+    higher dimensions ``dot`` writes there and ``c`` is added in place."""
+    if c.size == 1:
+        return lambda x, out=None: np.add(x.dot(At), c, out)
+
+    def affine(x, out=None):
+        y = x.dot(At, out)
+        y += c
+        return y
+
+    return affine
+
+
+def _fused(run, alpha: np.ndarray, beta: np.ndarray):
+    """One op for ``x -> alpha*x + beta*run(x)``, ``run`` a list of leaf ops."""
+
+    def fused(x, out=None):
+        y = x
+        for op in run:
+            y = op(y)
+        return np.add(alpha * x, beta * y, out)
+
+    return fused
 
 
 def as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:

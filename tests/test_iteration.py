@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpkit as fp
-from fpkit.errors import DimensionMismatch, InsufficientData, ParameterOutOfRange
+from fpkit.errors import DimensionMismatch, InsufficientData, InvariantViolation, ParameterOutOfRange
 from fpkit.iteration import DIVERGENCE_WINDOW
 from fpkit.mappings import collapse
 
@@ -130,6 +130,10 @@ def _loop_cases():
     cases.append(("rotation then box",
                   fp.Composition((fp.Rotation(1.5), fp.BoxProjection([-1.0, -2.0], [3.0, 0.5]))),
                   np.array([5.0, -5.0])))
+    # In 1-d an affine step takes its own route (see mappings._affine).
+    cases.append(("line then box, d=1",
+                  fp.Composition((fp.line_map(-1.5, 2.0), fp.BoxProjection([-3.0], [4.0]))),
+                  np.array([5.0])))
     return cases
 
 
@@ -195,6 +199,29 @@ def assert_picard_matches_reference(m, x0, stop):
         for store in (False, True):
             want = quiet_reference(collapse(m), x0, stop, kind, store_iterates=store)
             assert_same_trace(fp.picard(m, x0, stop, kind, store_iterates=store), want)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_picard_hands_out_arrays_of_their_own(d):
+    # Steps are written into one array per block; the final point and each
+    # stored iterate are copied out of it, so a trace shares no memory with
+    # x0, with another trace or within itself, and a later run leaves it be.
+    box = fp.BoxProjection(np.full(d, -1.0), np.full(d, 1.0))
+    spin = fp.Affine(-np.eye(d), np.full(d, 0.5))  # never settles: x, 0.5 - x, x, ...
+    stop = fp.StopRule(max_iter=30)
+    for m in (spin, fp.averaged(fp.Composition((spin, box)), 0.25),
+              fp.Composition((spin, fp.averaged(box, 0.5)))):
+        x0 = np.linspace(-2.0, 2.0, d)
+        first = fp.picard(m, x0, stop, store_iterates=True)
+        arrays = [first.final, *first.iterates]
+        kept = [a.tobytes() for a in arrays]
+        second = fp.picard(m, x0, stop, store_iterates=True)
+        assert [a.tobytes() for a in arrays] == kept, m
+        assert_same_trace(second, first)
+        for i, a in enumerate(arrays):
+            assert a.base is None and a.flags.owndata, (m, i)
+            assert not np.shares_memory(a, x0), (m, i)
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), (m, i)
 
 
 def test_picard_max_iter_at_block_edges_matches_the_reference():
@@ -440,6 +467,19 @@ def test_solve_rejects_nonpositive_b():
         fp.solve_modified(T_LINE, 0.0, [0.0])
     with pytest.raises(ParameterOutOfRange):
         fp.solve_modified(T_LINE, -2.0, [0.0])
+
+
+def test_solve_checks_x0_before_the_sampled_check(monkeypatch):
+    # A bad start is refused at once, not after a whole sampled check.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sampled check ran before x0 was validated")
+
+    monkeypatch.setattr(fp.iteration, "verify_condition", unreachable)
+    m = fp.scaling_map(0.5, dim=64)
+    with pytest.raises(DimensionMismatch):
+        fp.solve_modified(m, 3.0, np.zeros(3), verify=True)
+    with pytest.raises(InvariantViolation):
+        fp.solve_modified(m, 3.0, np.full(64, np.nan), verify=True)
 
 
 def test_solve_residual_transfer_identity():

@@ -83,15 +83,56 @@ def test_evaluator_matches_the_matrix_formulas_bit_for_bit(d):
          lambda x: a * x + b * (a2 * x + b2 * (A1 @ x + c1)),
          lambda xs: a * xs + b * (a2 * xs + b2 * (xs @ A1.T + c1))),
     ]
+    # Linear combinations over a run of leaves compile to one fused op; one
+    # over another linear combination keeps the flat program's mixes.
+    cases += [
+        (fp.LinearCombinationWithIdentity(a, b, fp.BoxProjection(lo, hi)),
+         lambda x: a * x + b * np.clip(x, lo, hi), lambda xs: a * xs + b * np.clip(xs, lo, hi)),
+        (fp.LinearCombinationWithIdentity(a, b, fp.LinearCombinationWithIdentity(
+            a2, b2, fp.Composition((fp.Affine(A1, c1), fp.BoxProjection(lo, hi))))),
+         lambda x: a * x + b * (a2 * x + b2 * np.clip(A1 @ x + c1, lo, hi)),
+         lambda xs: a * xs + b * (a2 * xs + b2 * np.clip(xs @ A1.T + c1, lo, hi))),
+    ]
     if d == 2:
         R = fp.Rotation(0.7).matrix()
         cases.append((fp.Rotation(0.7), lambda x: R @ x, lambda xs: xs @ R.T))
         cases.append((fp.Composition((fp.Rotation(0.7), fp.Affine(A1, c1))),
                       lambda x: A1 @ (R @ x) + c1, lambda xs: xs @ R.T @ A1.T + c1))
+        cases.append((fp.LinearCombinationWithIdentity(
+                          a, b, fp.Composition((fp.Rotation(0.7), fp.BoxProjection(lo, hi)))),
+                      lambda x: a * x + b * np.clip(R @ x, lo, hi),
+                      lambda xs: a * xs + b * np.clip(xs @ R.T, lo, hi)))
     for m, one, many in cases:
         assert fp.evaluate_many(m, xs).tobytes() == many(xs).tobytes(), m
         for x in xs:
             assert fp.evaluate(m, x).tobytes() == one(x).tobytes(), m
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_compiled_functions_leave_their_argument_alone(d):
+    # A compiled function returns a new array, or the ``out`` it is given,
+    # and never its argument; the argument keeps its bits. Cases: each leaf,
+    # a fused op and flat programs.
+    rng = np.random.default_rng(d)
+    aff = fp.Affine(rng.normal(size=(d, d)), rng.normal(size=d))
+    box = fp.BoxProjection(np.full(d, -1.0), np.full(d, 1.0))
+    cases = [fp.Identity(d), aff, box,
+             fp.LinearCombinationWithIdentity(0.75, 0.25, fp.Composition((aff, box))),
+             fp.Composition((aff, box)),
+             fp.Composition((fp.LinearCombinationWithIdentity(0.75, 0.25, box), aff)),
+             fp.LinearCombinationWithIdentity(-0.5, 1.5, fp.LinearCombinationWithIdentity(0.75, 0.25, aff))]
+    if d == 2:
+        cases.append(fp.Rotation(0.7))
+    for m in cases:
+        f = fp.mappings._compile(m)
+        for x in (rng.uniform(-3.0, 3.0, d), rng.uniform(-3.0, 3.0, (5, d))):
+            before = x.tobytes()
+            y = f(x)
+            assert not np.shares_memory(y, x), m
+            out = np.empty_like(x)
+            assert f(x, out) is out, m
+            assert out.tobytes() == y.tobytes(), m
+            assert x.tobytes() == before, m
 
 
 def test_deep_trees_are_walked_without_recursion(tmp_path):
