@@ -164,8 +164,8 @@ def picard(
             x_norms = row_norms(rows[1:]).tolist()
             steps = row_norms(rows[1:] - rows[:-1]).tolist()
             before = len(residuals)
-            for x_norm, r in zip(x_norms, steps):
-                if not math.isfinite(x_norm) and not np.isfinite(rows[len(residuals) - before + 1]).all():
+            for i, (x_norm, r) in enumerate(zip(x_norms, steps), 1):
+                if not math.isfinite(x_norm) and not np.isfinite(rows[i]).all():
                     status = Status.DIVERGED
                     break
                 if residuals:

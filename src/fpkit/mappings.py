@@ -341,9 +341,12 @@ def _copy(x, out=None):
 
 
 def _affine(At: np.ndarray, c: np.ndarray):
-    """The op ``x -> x.dot(At) + c``. In 1-d, where numpy's in-place add
-    costs twice a fresh one, the sum is written to ``out`` directly; in
-    higher dimensions ``dot`` writes there and ``c`` is added in place."""
+    """The op ``x -> x.dot(At) + c``. In 1-d the sum is written to ``out``
+    directly; in higher dimensions ``dot`` writes there and ``c`` is added
+    in place. Each form is the faster one where it is used: the in-place
+    form costs about 1 us more per 1-d step, and the other about 0.13-0.3
+    us more per step at d = 2 to 64 (``BENCH_14.json``,
+    ``affine_leaf_forms``)."""
     if c.size == 1:
         return lambda x, out=None: np.add(x.dot(At), c, out)
 
