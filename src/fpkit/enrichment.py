@@ -13,9 +13,11 @@ Banach contraction with factor lambda, which is what the solvers exploit.
 ``verify_condition`` is a refutable sampled check: a violating pair proves
 the condition fails, while a pass is evidence over the sampled pairs, not a
 proof. It scores the pairs of a ``PairSampler`` where they are drawn: the
-sampler's one PCG64 stream is cut into row blocks, each block is filled into
-buffers the blocks share and scored there, so no (count, d) pair array is
-made; ``PairSampler.draw`` copies the same blocks into two whole arrays.
+sampler's one PCG64 stream is read in one forward pass of row blocks, each
+block is filled into buffers the blocks share and scored there, so no
+(count, d) pair array is made; the few far pairs that fall too close are
+redrawn at the end and scored again as one last block. ``PairSampler.draw``
+copies the same blocks into two whole arrays.
 ``min_b_affine`` is exact (up to bisection tolerance) for affine maps, where
 the condition collapses to a convex norm inequality in b.
 """
@@ -29,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ParameterOutOfRange
+from .errors import InvariantViolation, ParameterOutOfRange
 from .mappings import LinearCombinationWithIdentity, Mapping, _compile, _finite, evaluate_many
 from .spaces import (
     _L2_SCALE,
@@ -38,6 +40,7 @@ from .spaces import (
     NormKind,
     as_matrix,
     as_norm_kind,
+    as_vector,
     is_number,
 )
 
@@ -72,10 +75,12 @@ def _as_condition_kind(kind) -> ConditionKind:
         ) from None
 
 
-def _row_blocks(n: int, dim: int):
-    """Slices covering rows 0..n in blocks of about _BLOCK_ENTRIES entries."""
-    step = max(1, _BLOCK_ENTRIES // dim)
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+def _as_b(b) -> float:
+    """``b`` as a float; ParameterOutOfRange unless it is finite and >= 0."""
+    b = float(b)
+    if b < 0.0 or not math.isfinite(b):
+        raise ParameterOutOfRange(f"b must be finite and >= 0, got {b}")
+    return b
 
 
 def averaged(base: Mapping, lam: float) -> LinearCombinationWithIdentity:
@@ -95,10 +100,7 @@ def enriched_reduction(base: Mapping, b: float) -> LinearCombinationWithIdentity
     If ``base`` is b-enriched nonexpansive, S is plain nonexpansive, and S has
     exactly the fixed points of ``base``.
     """
-    b = float(b)
-    if b < 0.0 or not math.isfinite(b):
-        raise ParameterOutOfRange(f"b must be finite and >= 0, got {b}")
-    return averaged(base, 1.0 / (b + 1.0))
+    return averaged(base, 1.0 / (_as_b(b) + 1.0))
 
 
 def modified_shift(base: Mapping, b: float) -> LinearCombinationWithIdentity:
@@ -107,10 +109,7 @@ def modified_shift(base: Mapping, b: float) -> LinearCombinationWithIdentity:
     Note the fixed points move: S(x*) = x* means base(x*) = (1 - b) x*, which
     is the original fixed-point equation only when b = 0 or x* = 0.
     """
-    b = float(b)
-    if b < 0.0 or not math.isfinite(b):
-        raise ParameterOutOfRange(f"b must be finite and >= 0, got {b}")
-    return LinearCombinationWithIdentity(b, 1.0, base)
+    return LinearCombinationWithIdentity(_as_b(b), 1.0, base)
 
 
 def _fill_uniform(rng: np.random.Generator, out: np.ndarray, r: float) -> None:
@@ -212,7 +211,7 @@ class _PairStream:
         self._r = r
         self._rng = rng
         self._pos = 0  # doubles drawn since P
-        self._held = []  # (rows, xs, ys) of the blocks held back for redraws
+        self._redrawn = {}  # row -> its (x, y) after the redraws
 
     def _fill(self, out: np.ndarray, at: int) -> None:
         """Fill ``out`` with the box-uniform doubles from position P + ``at`` on."""
@@ -223,45 +222,46 @@ class _PairStream:
         self._pos = at + out.size
 
     def blocks(self):
-        """Yield ``(rows, xs, ys, diffs, dists)`` once for each row block of the sample.
+        """Yield ``(rows, xs, ys, diffs, dists)`` for each row block, in draw order.
 
-        ``rows`` is the slice of the sample that the block holds, with its
-        final values: the near rows copied from their arrays, the far rows
-        drawn in place. ``diffs`` is ``xs - ys`` and ``dists`` its l2 row
-        norms. The next block reuses all these arrays, and the caller may
-        overwrite ``diffs`` and ``dists``. A block with a far pair closer than
-        MIN_SEPARATION * box_radius is copied and held back; once every far
-        row is drawn, the too-close pairs are redrawn from the stream's end,
-        in rounds as in one whole draw, and the held blocks come last.
+        ``rows`` is the slice of the sample that the block holds: the near
+        rows copied from their arrays, the far rows drawn in place. ``diffs``
+        is ``xs - ys`` and ``dists`` its l2 row norms. The next block reuses
+        all these arrays, and the caller may overwrite ``diffs`` and
+        ``dists``. A far pair closer than MIN_SEPARATION * box_radius is
+        yielded as drawn, and its row is noted. Once every far row is drawn,
+        the noted pairs are redrawn from the stream's end, in rounds as in one
+        whole draw, and yielded as one last block whose ``rows`` is the index
+        array of their rows, so their final values overwrite the first ones.
         """
         d, n_far = self.dim, self.n_far
         x_near, y_near = self.near
         n_near = len(x_near)
-        xbuf, ybuf, dbuf = np.empty((3, min(max(1, _BLOCK_ENTRIES // d), n_near + n_far), d))
+        n = n_near + n_far
+        step = max(1, _BLOCK_ENTRIES // d)
+        xbuf, ybuf, dbuf = np.empty((3, min(step, n), d))
         floor = MIN_SEPARATION * self._r
-        far = []  # the far rows of the held blocks, in order
-        for rows in _row_blocks(n_near + n_far, d):
-            m = rows.stop - rows.start
+        close = []  # (rows, xs, ys) of the too-close far pairs, in order
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
+            m = rows.stop - start
             xs, ys, diffs = xbuf[:m], ybuf[:m], dbuf[:m]
-            k = min(m, max(0, n_near - rows.start))  # near rows in the block
-            xs[:k] = x_near[rows.start : rows.start + k]
-            ys[:k] = y_near[rows.start : rows.start + k]
+            k = min(m, max(0, n_near - start))  # near rows in the block
+            xs[:k] = x_near[start : start + k]
+            ys[:k] = y_near[start : start + k]
             if k < m:
-                i = rows.start + k - n_near  # the block's first far row, counted from 0
+                i = start + k - n_near  # the block's first far row, counted from 0
                 self._fill(xs[k:], i * d)
                 self._fill(ys[k:], (n_far + i) * d)
             dists = _distances(np.subtract(xs, ys, out=diffs))
             if (dists[k:] < floor).any():
-                x, y = xs.copy(), ys.copy()
-                self._held.append((rows, x, y))
-                far.append((x[k:], y[k:]))
-            else:
-                yield rows, xs, ys, diffs, dists
-        if not far:
+                bad = k + np.flatnonzero(dists[k:] < floor)
+                close.append((start + bad, xs[bad], ys[bad]))
+            yield rows, xs, ys, diffs, dists
+        if not close:
             return
 
-        xs = np.concatenate([x for x, _ in far])
-        ys = np.concatenate([y for _, y in far])
+        rows, xs, ys = (np.concatenate(parts) for parts in zip(*close))
         while True:
             bad = _distances(xs - ys) < floor
             if not bad.any():
@@ -270,24 +270,21 @@ class _PairStream:
             self._fill(new[0], self._pos)
             self._fill(new[1], self._pos)
             xs[bad], ys[bad] = new
-        start = 0
-        for (x, y), (rows, x_block, y_block) in zip(far, self._held):
-            x[:], y[:] = xs[start : start + len(x)], ys[start : start + len(x)]
-            start += len(x)
-            yield rows, *_with_distances(x_block, y_block)
+        self._redrawn = dict(zip(rows.tolist(), zip(xs, ys)))
+        yield rows, *_with_distances(xs, ys)
 
     def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Row ``i``'s final (x, y), as new 1-D arrays, once ``blocks`` is done.
 
-        A near row or a held-back row is read from its arrays; any other far
-        row kept its first draw, so it is drawn again at its stream positions.
+        A near row or a redrawn row is read from its arrays; any other far row
+        kept its first draw, so it is drawn again at its stream positions.
         """
         x_near, y_near = self.near
         if i < len(x_near):
             return x_near[i].copy(), y_near[i].copy()
-        for rows, xs, ys in self._held:
-            if rows.start <= i < rows.stop:
-                return xs[i - rows.start].copy(), ys[i - rows.start].copy()
+        if i in self._redrawn:
+            x, y = self._redrawn[i]
+            return x.copy(), y.copy()
         j = i - len(x_near)
         x, y = np.empty(self.dim), np.empty(self.dim)
         self._fill(x, j * self.dim)
@@ -337,8 +334,8 @@ class EnrichmentReport:
         }
 
 
-def _score(apply, b: float, factor: float, norm_kind: NormKind, xs, ys, diffs, dists, out) -> None:
-    """Write the condition ratio of each row pair of ``xs`` and ``ys`` into ``out``.
+def _score(apply, b: float, factor: float, norm_kind: NormKind, xs, ys, diffs, dists):
+    """The condition ratio of each row pair of ``xs`` and ``ys``, as a new array.
 
     ``apply`` maps a batch of rows. A row whose image is not finite has a
     left-hand side that is not finite either, so it is rescored below, where
@@ -369,7 +366,8 @@ def _score(apply, b: float, factor: float, norm_kind: NormKind, xs, ys, diffs, d
             lhs[huge] = row_norms(b * scaled + tx / _L2_SCALE - ty / _L2_SCALE)
             rhs[huge] = factor * row_norms(scaled)
         # A ratio past the float range reads inf, which refutes the condition.
-        np.divide(lhs, rhs, out=out)
+        lhs /= rhs
+    return lhs
 
 
 def _factor(b: float, kind: ConditionKind) -> float:
@@ -385,14 +383,20 @@ def condition_ratio(
     y,
     norm_kind: NormKind = NormKind.L2,
 ) -> float:
-    """||b(x-y) + Tx - Ty|| divided by the condition's right-hand side."""
-    xs = np.asarray(x, dtype=float)[None, :]
-    ys = np.asarray(y, dtype=float)[None, :]
+    """||b(x-y) + Tx - Ty|| divided by the condition's right-hand side.
+
+    Raises ParameterOutOfRange for a b that is not finite and >= 0, and
+    InvariantViolation for an x or y that is not a finite vector, or for
+    x = y, where the ratio is undefined.
+    """
+    b = _as_b(b)
     kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
-    b, out = float(b), np.empty(1)
+    x, y = as_vector(x, name="x"), as_vector(y, name="y")
+    if np.array_equal(x, y):
+        raise InvariantViolation("x and y must differ: the ratio is undefined at x = y")
     apply = partial(evaluate_many, mapping)
-    _score(apply, b, _factor(b, kind), norm_kind, *_with_distances(xs, ys), out)
-    return float(out[0])
+    ratios = _score(apply, b, _factor(b, kind), norm_kind, *_with_distances(x[None], y[None]))
+    return float(ratios[0])
 
 
 def verify_condition(
@@ -414,14 +418,14 @@ def verify_condition(
     drawn into, max(1, 2**15 // d) rows at a time, so no (count, d) pair
     array exists: the check holds the near pairs, one block's temporaries
     and the ratio vector. In l2 the far rows' distances from the rejection
-    test are the right-hand side. Every ratio, and so the report, is the
-    same as in one whole-batch pass; the witness is the final pair of the
-    row ``np.argmax`` picks, read from the near arrays or a held block, or
-    drawn again at its stream positions.
+    test are the right-hand side. The redrawn rows come last, and their
+    ratios overwrite those of their first draws. Every ratio, and so the
+    report, is the same as in one whole-batch pass; the witness is the final
+    pair of the row ``np.argmax`` picks, read from the near arrays or the
+    redrawn rows, or drawn again at its stream positions. Raises
+    ParameterOutOfRange for a b that is not finite and >= 0.
     """
-    b = float(b)
-    if b < 0.0 or not math.isfinite(b):
-        raise ParameterOutOfRange(f"b must be finite and >= 0, got {b}")
+    b = _as_b(b)
     kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
     sampler = sampler if sampler is not None else PairSampler()
     stream = _PairStream(sampler, mapping.dim)
@@ -429,7 +433,7 @@ def verify_condition(
     factor = _factor(b, kind)
     ratios = np.empty(sampler.count)
     for rows, xs, ys, diffs, dists in stream.blocks():
-        _score(apply, b, factor, norm_kind, xs, ys, diffs, dists, ratios[rows])
+        ratios[rows] = _score(apply, b, factor, norm_kind, xs, ys, diffs, dists)
     idx = int(np.argmax(ratios))  # first index on ties
     max_ratio = float(ratios[idx])
     witness_x, witness_y = stream.pair(idx)
@@ -496,8 +500,7 @@ def min_b_affine(
     eye = np.eye(A.shape[0])
 
     def g(b: float) -> float:
-        rhs = b + 1.0 if kind is ConditionKind.ENRICHED else 1.0
-        return op_norm(b * eye + A) - rhs
+        return op_norm(b * eye + A) - _factor(b, kind)
 
     g0 = g(0.0)
     if g0 <= 0.0:

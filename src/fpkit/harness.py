@@ -82,6 +82,8 @@ class ExperimentConfig:
     sampler: PairSampler | None = None
     slack: float = DEFAULT_SLACK
     verify: bool = False
+    # Echoed in config.json and the digest only: no artifact holds iterates,
+    # so _dispatch does not ask the schemes to store them.
     store_iterates: bool = False
     seed: int = 42
     output_dir: str | None = None
@@ -338,18 +340,15 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[str, IterationTrace | None, dict]:
     fields it sets."""
     try:
         if cfg.scheme is Scheme.PICARD:
-            trace = picard(cfg.mapping, cfg.x0, cfg.stop, cfg.norm_kind,
-                           store_iterates=cfg.store_iterates)
+            trace = picard(cfg.mapping, cfg.x0, cfg.stop, cfg.norm_kind)
             return trace.status.value, trace, {}
         if cfg.scheme is Scheme.KRASNOSELSKIJ:
-            trace = krasnoselskij(cfg.mapping, cfg.lam, cfg.x0, cfg.stop, cfg.norm_kind,
-                                  store_iterates=cfg.store_iterates)
+            trace = krasnoselskij(cfg.mapping, cfg.lam, cfg.x0, cfg.stop, cfg.norm_kind)
             return trace.status.value, trace, {"lam": cfg.lam}
         if cfg.scheme is Scheme.SOLVE_MODIFIED:
             result = solve_modified(
                 cfg.mapping, cfg.b, cfg.x0, cfg.stop, cfg.norm_kind, cfg.verify,
                 sampler=cfg.effective_sampler(), slack=cfg.slack,
-                store_iterates=cfg.store_iterates,
             )
             return result.trace.status.value, result.trace, {
                 "fixed_point": result.fixed_point.tolist(),

@@ -7,7 +7,7 @@ import pytest
 import fpkit as fp
 from fpkit import enrichment, spaces
 from fpkit.enrichment import B_TOL
-from fpkit.errors import NonFiniteResult, ParameterOutOfRange
+from fpkit.errors import InvariantViolation, NonFiniteResult, ParameterOutOfRange
 
 from _family import (
     family50,
@@ -200,8 +200,9 @@ def test_redraws_match_the_reference_bit_for_bit(monkeypatch):
     # are too close and redraws run for three rounds or more in every block,
     # in the sparse ones a few blocks hold one too-close pair. A block budget
     # of 2**10 entries spreads each sample over 4 blocks, and the last case
-    # keeps the real budget. Held-back blocks, the redraws from the stream's
-    # end and the witnesses read from them must equal one whole draw's bits.
+    # keeps the real budget. Blocks with too-close pairs, the redraws from the
+    # stream's end, the witnesses and every row's pair read once the stream
+    # is done must equal one whole draw's bits.
     checks = 0
     cases = [  # (d, count, block budget, separation, dense)
         (1, 3500, 2**10, 0.2, True),
@@ -230,6 +231,11 @@ def test_redraws_match_the_reference_bit_for_bit(monkeypatch):
             xs, ys = sampler.draw(d)
             np.testing.assert_array_equal(xs, ref_xs)
             np.testing.assert_array_equal(ys, ref_ys)
+            stream = enrichment._PairStream(sampler, d)
+            for _ in stream.blocks():
+                pass
+            pairs = np.array([stream.pair(i) for i in range(count)])
+            np.testing.assert_array_equal(pairs, np.stack([ref_xs, ref_ys], axis=1))
 
             rng = np.random.default_rng(seed)
             mapping = fp.Affine(rng.standard_normal((d, d)), rng.standard_normal(d))
@@ -292,8 +298,27 @@ def test_report_invariants_hold_either_way():
 
 
 def test_verify_rejects_negative_b():
-    with pytest.raises(ParameterOutOfRange):
-        fp.verify_condition(T_LINE, -1.0, fp.ConditionKind.MODIFIED)
+    # condition_ratio checks b as verify_condition does; at b = -1 its
+    # enriched right-hand side would be 0.
+    for b in (-1.0, float("nan"), math.inf):
+        for kind in fp.ConditionKind:
+            with pytest.raises(ParameterOutOfRange, match="b must be finite and >= 0"):
+                fp.verify_condition(T_LINE, b, kind)
+            with pytest.raises(ParameterOutOfRange, match="b must be finite and >= 0"):
+                fp.condition_ratio(T_LINE, b, kind, [0.0], [1.0])
+
+
+def test_condition_ratio_rejects_pairs_without_a_ratio():
+    # x = y leaves the ratio undefined, and a non-finite entry is an input
+    # error, not an overflow of the mapping.
+    for x, y, match in (
+        ([1.0], [1.0], "x and y must differ"),
+        ([1.0], [math.nan], "y: entries must be finite"),
+        ([math.inf], [1.0], "x: entries must be finite"),
+        ([], [1.0], "x: expected a non-empty 1-D array"),
+    ):
+        with pytest.raises(InvariantViolation, match=match):
+            fp.condition_ratio(T_LINE, 1.0, fp.ConditionKind.ENRICHED, x, y)
 
 
 def test_unknown_kinds_and_norms_are_typed_errors():

@@ -6,7 +6,7 @@ import pytest
 
 import fpkit as fp
 from fpkit.errors import ConfigError
-from fpkit.harness import _family_json, canonical_json, run_bench, run_gen
+from fpkit.harness import _dispatch, _family_json, canonical_json, run_bench, run_gen
 
 DEMO_DOC = {
     "mapping": {"kind": "affine", "matrix": [[-2.0]], "offset": [100.0]},
@@ -139,6 +139,22 @@ def test_run_experiment_reproducibility_byte_identical(tmp_path):
     del s1["wall_time"], s2["wall_time"]
     del s1["artifacts"], s2["artifacts"]
     assert s1 == s2
+
+
+def test_store_iterates_is_recorded_but_stores_nothing(tmp_path):
+    # No artifact holds iterates, so a run does not store them: the field
+    # stays in config.json and the digest, and trace.csv keeps its bytes.
+    for scheme in ({"scheme": "picard"}, {"scheme": "krasnoselskij", "lambda": 0.25}, {}):
+        base = demo_config(**scheme)
+        cfg = demo_config(store_iterates=True, **scheme)
+        _, trace, _ = _dispatch(cfg)
+        assert trace.iterates is None and trace.iterations > 1, scheme
+        fp.run_experiment(base, out_dir=tmp_path / "without")
+        fp.run_experiment(cfg, out_dir=tmp_path / "with")
+        want = (tmp_path / "without" / "trace.csv").read_bytes()
+        assert (tmp_path / "with" / "trace.csv").read_bytes() == want, scheme
+        assert json.loads((tmp_path / "with" / "config.json").read_text())["store_iterates"]
+        assert fp.config_digest(cfg) != fp.config_digest(base)
 
 
 def test_run_experiment_propagates_scheme_failure_into_status(tmp_path):
