@@ -76,11 +76,17 @@ def _as_condition_kind(kind) -> ConditionKind:
 
 
 def _as_b(b) -> float:
-    """``b`` as a float; ParameterOutOfRange unless it is finite and >= 0."""
-    b = float(b)
-    if b < 0.0 or not math.isfinite(b):
-        raise ParameterOutOfRange(f"b must be finite and >= 0, got {b}")
-    return b
+    """``b`` as a float; ParameterOutOfRange unless it is a finite number >= 0."""
+    if not (is_number(b) and 0.0 <= b < math.inf):
+        raise ParameterOutOfRange(f"b must be finite and >= 0, got {b!r}")
+    return float(b)
+
+
+def _as_slack(slack) -> float:
+    """``slack`` as a float; ParameterOutOfRange unless it is a finite number >= 0."""
+    if not (is_number(slack) and 0.0 <= slack < math.inf):
+        raise ParameterOutOfRange(f"slack: must be finite and >= 0, got {slack!r}")
+    return float(slack)
 
 
 def averaged(base: Mapping, lam: float) -> LinearCombinationWithIdentity:
@@ -88,9 +94,9 @@ def averaged(base: Mapping, lam: float) -> LinearCombinationWithIdentity:
 
     Shares its fixed-point set with ``base`` for every admissible lam.
     """
+    if not (is_number(lam) and 0.0 < lam <= 1.0):
+        raise ParameterOutOfRange(f"lambda must lie in (0, 1], got {lam!r}")
     lam = float(lam)
-    if not (0.0 < lam <= 1.0) or not math.isfinite(lam):
-        raise ParameterOutOfRange(f"lambda must lie in (0, 1], got {lam}")
     return LinearCombinationWithIdentity(1.0 - lam, lam, base)
 
 
@@ -385,7 +391,7 @@ def condition_ratio(
 ) -> float:
     """||b(x-y) + Tx - Ty|| divided by the condition's right-hand side.
 
-    Raises ParameterOutOfRange for a b that is not finite and >= 0, and
+    Raises ParameterOutOfRange for a b that is not a finite number >= 0, and
     InvariantViolation for an x or y that is not a finite vector, or for
     x = y, where the ratio is undefined.
     """
@@ -423,9 +429,10 @@ def verify_condition(
     report, is the same as in one whole-batch pass; the witness is the final
     pair of the row ``np.argmax`` picks, read from the near arrays or the
     redrawn rows, or drawn again at its stream positions. Raises
-    ParameterOutOfRange for a b that is not finite and >= 0.
+    ParameterOutOfRange for a b or a ``slack`` that is not a finite number
+    >= 0.
     """
-    b = _as_b(b)
+    b, slack = _as_b(b), _as_slack(slack)
     kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
     sampler = sampler if sampler is not None else PairSampler()
     stream = _PairStream(sampler, mapping.dim)

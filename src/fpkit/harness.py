@@ -30,6 +30,7 @@ from .enrichment import (
     ConditionKind,
     EnrichmentReport,
     PairSampler,
+    _as_slack,
     min_b_affine,
     verify_condition,
 )
@@ -52,7 +53,7 @@ from .iteration import (
     write_trace_csv,
 )
 from .mappings import Affine, Mapping, _num, as_affine, parse_mapping, serialize_mapping
-from .spaces import DIM_CAP, NormKind, as_vector
+from .spaces import DIM_CAP, NormKind, as_vector, is_integer
 
 
 class Scheme(str, Enum):
@@ -151,7 +152,7 @@ def _named(check):
     def parse(v, name: str):
         try:
             return check(v, name)
-        except (SchemaError, InvariantViolation) as e:
+        except (SchemaError, InvariantViolation, ParameterOutOfRange) as e:
             raise ConfigError(str(e)) from None
 
     return parse
@@ -159,13 +160,7 @@ def _named(check):
 
 _number = _named(_num)
 _vector = _named(lambda v, name: as_vector(v, name=name))
-
-
-def _slack(v, name: str) -> float:
-    v = _number(v, name)
-    if v < 0.0:
-        raise ConfigError(f"{name}: must be >= 0, got {v}")
-    return v
+_slack = _named(lambda v, name: _as_slack(_num(v, name)))  # verify_condition's own check
 
 
 def _object(cls):
@@ -439,8 +434,14 @@ def generate_affine_family(
 
     Each map is U diag(s) V^T with U, V drawn as QR factors of Gaussian
     matrices (signs fixed to make the factorization unambiguous) and an
-    offset uniform in [-10, 10]^dim. Deterministic per seed.
+    offset uniform in [-10, 10]^dim. Deterministic per seed. ``seed``,
+    ``dim`` and ``count`` must be integers (bools are not).
     """
+    for name, v in (("seed", seed), ("dim", dim), ("count", count)):
+        if not is_integer(v):
+            raise ParameterOutOfRange(f"{name}: must be an integer, got {v!r}")
+    if seed < 0:
+        raise ParameterOutOfRange("seed: must be >= 0")
     if not 1 <= dim <= DIM_CAP:
         raise ParameterOutOfRange(f"dim: must be in [1, {DIM_CAP}]")
     if count < 0:

@@ -3,9 +3,9 @@
 ``picard`` iterates x <- T(x) under a residual stop rule. ``krasnoselskij``
 is literally Picard applied to the averaged map (1-lambda)*x + lambda*T(x);
 the two schemes share one code path, so their traces agree bit for bit.
-``picard`` first folds each affine subtree of the mapping into one
-``Affine`` (``mappings.collapse``); its traces are bit for bit those of the
-reference loop over the folded tree.
+``picard`` first folds a mapping that is affine as a whole into one
+``Affine`` (``mappings.collapse``) and iterates any other tree as it stands;
+its traces are bit for bit those of the reference loop over that map.
 ``solve_modified`` packages the contraction guarantee: when T is
 b-modified-enriched with b > 0, the averaged map with lambda = 1/(b+1) is a
 Banach contraction with factor lambda, and Krasnoselskij iteration converges
@@ -116,8 +116,9 @@ def picard(
     ``x0`` and its dimension are validated once, before the loop. The
     mapping is then folded once by ``collapse``, so an affine tree (such as
     the averaged map of an affine T) costs one matrix-vector product per
-    step, and compiled once into a function that applies it without walking
-    the tree again. Steps run in blocks: the compiled map is applied k times
+    step, while a tree with a box projection keeps its shape; either is
+    compiled once into a function that applies it without walking the tree
+    again. Steps run in blocks: the compiled map is applied k times
     back to back, each step writing its image into the next row of one
     ``(k+1, d)`` array, the block's iterate norms and step norms are taken
     in one row-norm call each, and the stop rule then walks those floats step
@@ -220,9 +221,8 @@ def krasnoselskij(
     store_iterates: bool = False,
 ) -> IterationTrace:
     """Iterate x <- (1-lam)*x + lam*mapping(x); exactly Picard on the averaged map."""
-    lam = float(lam)
-    if not (0.0 < lam < 1.0):
-        raise ParameterOutOfRange(f"lambda must lie in (0, 1), got {lam}")
+    if not (is_number(lam) and 0.0 < lam < 1.0):
+        raise ParameterOutOfRange(f"lambda must lie in (0, 1), got {lam!r}")
     return picard(averaged(mapping, lam), x0, stop, norm_kind, store_iterates=store_iterates)
 
 
@@ -264,14 +264,13 @@ def solve_modified(
     report is attached; a failed check does not stop the iteration, since the
     sampled check can refute but never certify.
     """
-    b = float(b)
-    if not (b > 0.0) or not math.isfinite(b):
+    if not (is_number(b) and 0.0 < b < math.inf):
         raise ParameterOutOfRange(
-            f"b must be > 0, got {b}: with b = 0 the map is merely nonexpansive and no "
-            "contraction factor exists; run krasnoselskij with a chosen lambda instead "
-            "(no convergence guarantee)"
+            f"b must be finite and > 0, got {b!r}: with b = 0 the map is merely "
+            "nonexpansive and no contraction factor exists; run krasnoselskij with a "
+            "chosen lambda instead (no convergence guarantee)"
         )
-    lam = 1.0 / (b + 1.0)
+    lam = 1.0 / (float(b) + 1.0)
     x0 = _start(mapping, x0)  # a bad start fails before the sampled check runs
     report = None
     if verify:
@@ -300,15 +299,13 @@ def apriori_iterations(lam: float, d1: float, eps: float) -> int:
     after n steps the error is at most lam^n/(1-lam) * d1. Returns 0 when
     d1 = 0 (the start is already fixed).
     """
-    lam = float(lam)
-    d1 = float(d1)
-    eps = float(eps)
-    if not (0.0 < lam < 1.0):
-        raise ParameterOutOfRange(f"lambda must lie in (0, 1), got {lam}")
-    if d1 < 0.0 or not math.isfinite(d1):
-        raise ParameterOutOfRange("d1 must be finite and >= 0")
-    if not (eps > 0.0):
-        raise ParameterOutOfRange("eps must be positive")
+    if not (is_number(lam) and 0.0 < lam < 1.0):
+        raise ParameterOutOfRange(f"lambda must lie in (0, 1), got {lam!r}")
+    if not (is_number(d1) and 0.0 <= d1 < math.inf):
+        raise ParameterOutOfRange(f"d1 must be finite and >= 0, got {d1!r}")
+    if not (is_number(eps) and eps > 0.0):
+        raise ParameterOutOfRange(f"eps must be positive, got {eps!r}")
+    lam, d1, eps = float(lam), float(d1), float(eps)
     if d1 == 0.0:
         return 0
 
@@ -329,7 +326,12 @@ def apriori_iterations(lam: float, d1: float, eps: float) -> int:
 def check_fixed_point(
     mapping: Mapping, x, tol: float, norm_kind: NormKind = NormKind.L2
 ) -> tuple[bool, float]:
-    """Whether ||T(x) - x|| <= tol; returns (verdict, residual)."""
+    """Whether ||T(x) - x|| <= tol; returns (verdict, residual).
+
+    Raises ParameterOutOfRange for a ``tol`` that is not a number >= 0.
+    """
+    if not (is_number(tol) and tol >= 0.0):
+        raise ParameterOutOfRange(f"tol must be a number >= 0, got {tol!r}")
     x = as_vector(x, name="x")
     residual = norm(evaluate(mapping, x) - x, norm_kind)
     return residual <= tol, residual

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NonFiniteResult, SchemaError
-from .spaces import DIM_CAP, as_matrix, as_vector, is_number
+from .spaces import DIM_CAP, as_matrix, as_vector, is_integer, is_number
 
 
 class Mapping:
@@ -109,7 +109,7 @@ class Rotation(Mapping):
     dim = 2
 
     def __post_init__(self):
-        self.theta = float(self.theta)
+        self.theta = _real(self.theta, "theta")
         if not math.isfinite(self.theta):
             raise InvariantViolation("theta: must be finite")
 
@@ -152,8 +152,8 @@ class LinearCombinationWithIdentity(Mapping):
     base: Mapping
 
     def __post_init__(self):
-        self.alpha = float(self.alpha)
-        self.beta = float(self.beta)
+        self.alpha = _real(self.alpha, "alpha")
+        self.beta = _real(self.beta, "beta")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise InvariantViolation("alpha: coefficients must be finite")
         if not isinstance(self.base, Mapping):
@@ -190,6 +190,8 @@ class Identity(Mapping):
     dim: int
 
     def __post_init__(self):
+        if not is_integer(self.dim):
+            raise InvariantViolation(f"dim: expected an integer, got {self.dim!r}")
         self.dim = int(self.dim)
         if not 1 <= self.dim <= DIM_CAP:
             raise InvariantViolation(f"dim: must be in [1, {DIM_CAP}]")
@@ -410,71 +412,44 @@ def _affine_form(node: Mapping, kids: list) -> tuple[np.ndarray, np.ndarray] | N
 
 
 def collapse(m: Mapping) -> Mapping:
-    """An equivalent tree in which each maximal affine-representable subtree is one Affine.
+    """``m`` as one ``Affine`` when the whole map is affine, else ``m`` itself.
 
-    One bottom-up pass: children are collapsed first, and a rotation, or a
-    linear combination over a base that collapsed to an ``Affine`` or
-    ``Identity``, is folded through ``as_affine``. In a composition each run
-    of two or more adjacent foldable stages becomes one stage. Box
-    projections, and the nodes above them, keep their shape with collapsed
-    children. A lone ``Affine`` or ``Identity`` is returned as it is.
-
-    A fold whose matrix or offset overflows is not taken: that subtree keeps
-    its shape. Wherever the tree's arithmetic stays finite, the result maps
-    each input to the tree's image up to rounding: a fold applies one
-    matrix-vector product instead of one per node, so its last bits may
-    differ.
+    A lone ``Affine`` or ``Identity`` is returned as it is. Any other tree
+    with a finite ``as_affine`` form becomes ``Affine(*as_affine(m))``, so an
+    averaged affine map costs one matrix-vector product per step instead of
+    one per node, and its last bits may differ from the tree's. A tree with a
+    box projection anywhere, or whose fold overflows, is returned unchanged:
+    no affine part of it is folded on its own.
     """
-    return _fold(m, _collapsed)
-
-
-def _collapsed(node: Mapping, kids: list) -> Mapping:
-    """``collapse``'s rule."""
-    match node:
-        case Rotation():
-            return _folded(node) or node
-        case LinearCombinationWithIdentity(alpha=a, beta=b):
-            new = LinearCombinationWithIdentity(a, b, kids[0])
-            if isinstance(kids[0], (Affine, Identity)):
-                return _folded(new) or new
-            return new
-        case Composition():
-            out, run = [], []
-            for s in kids:
-                if isinstance(s, (Affine, Identity)):
-                    run.append(s)
-                    continue
-                out += _folded_run(run)
-                out.append(s)
-                run = []
-            out += _folded_run(run)
-            return out[0] if len(out) == 1 else Composition(tuple(out))
-    return node
-
-
-def _folded(m: Mapping) -> Affine | None:
-    """``Affine(*as_affine(m))``, or None when that form is not finite."""
-    A, c = as_affine(m)
+    if isinstance(m, (Affine, Identity)):
+        return m
+    form = as_affine(m)
+    if form is None:
+        return m
     try:
-        return Affine(A, c)  # refuses non-finite entries
+        return Affine(*form)  # refuses non-finite entries
     except InvariantViolation:
-        return None
-
-
-def _folded_run(run: list) -> list:
-    """Adjacent composition stages as one folded stage, or as they are."""
-    folded = _folded(Composition(tuple(run))) if len(run) > 1 else None
-    return run if folded is None else [folded]
+        return m
 
 
 def line_map(slope: float, intercept: float) -> Affine:
     """1-D affine convenience: x -> slope*x + intercept."""
-    return Affine(np.array([[float(slope)]]), np.array([float(intercept)]))
+    return Affine(np.array([[_real(slope, "slope")]]), np.array([_real(intercept, "intercept")]))
 
 
 def scaling_map(factor: float, dim: int = 1) -> Affine:
     """x -> factor*x on R^dim."""
-    return Affine(float(factor) * np.eye(dim), np.zeros(dim))
+    factor = _real(factor, "factor")
+    if not is_integer(dim) or not 1 <= dim <= DIM_CAP:
+        raise InvariantViolation(f"dim: must be an integer in [1, {DIM_CAP}], got {dim!r}")
+    return Affine(factor * np.eye(dim), np.zeros(dim))
+
+
+def _real(v, name: str) -> float:
+    """``v`` as a float; InvariantViolation naming the field unless it is a real number."""
+    if not is_number(v):
+        raise InvariantViolation(f"{name}: expected a number, got {v!r}")
+    return float(v)
 
 
 # --- JSON layout ------------------------------------------------------------

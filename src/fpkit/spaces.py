@@ -48,6 +48,11 @@ def is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def is_integer(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def as_vector(x, *, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, validating shape and entries."""
     try:
@@ -65,7 +70,10 @@ def as_vector(x, *, name: str = "vector") -> np.ndarray:
 
 def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square float64 matrix."""
-    a = np.asarray(m, dtype=float)
+    try:
+        a = np.asarray(m, dtype=float)
+    except (TypeError, ValueError):
+        raise InvariantViolation(f"{name}: expected an array of numbers") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvariantViolation(f"{name}: expected a non-empty square matrix, got shape {a.shape}")
     if a.shape[0] > DIM_CAP:
@@ -108,10 +116,14 @@ VECTOR_NORMS = {NormKind.L1: _l1, NormKind.L2: _l2, NormKind.LINF: _linf}
 def norm(v, kind: NormKind = NormKind.L2) -> float:
     """Vector norm of the requested kind. Zero exactly on the zero vector.
 
-    An empty vector is an InvariantViolation, as in ``as_vector``.
+    An empty vector, or one that is not an array of numbers, is an
+    InvariantViolation, as in ``as_vector``.
     """
     kernel = VECTOR_NORMS[as_norm_kind(kind)]
-    v = np.asarray(v, dtype=float).ravel(order="K")
+    try:
+        v = np.asarray(v, dtype=float).ravel(order="K")
+    except (TypeError, ValueError):
+        raise InvariantViolation("vector: expected an array of numbers") from None
     if v.size == 0:
         raise InvariantViolation("vector: expected a non-empty array")
     return float(kernel(v[None, :])[0])

@@ -299,13 +299,26 @@ def test_report_invariants_hold_either_way():
 
 def test_verify_rejects_negative_b():
     # condition_ratio checks b as verify_condition does; at b = -1 its
-    # enriched right-hand side would be 0.
-    for b in (-1.0, float("nan"), math.inf):
+    # enriched right-hand side would be 0. A b that is not a number is the
+    # same typed error, as are the two reductions that take a b.
+    for b in (-1.0, float("nan"), math.inf, "abc", None, [1.0]):
         for kind in fp.ConditionKind:
             with pytest.raises(ParameterOutOfRange, match="b must be finite and >= 0"):
                 fp.verify_condition(T_LINE, b, kind)
             with pytest.raises(ParameterOutOfRange, match="b must be finite and >= 0"):
                 fp.condition_ratio(T_LINE, b, kind, [0.0], [1.0])
+        for reduce in (fp.enriched_reduction, fp.modified_shift):
+            with pytest.raises(ParameterOutOfRange, match="b must be finite and >= 0"):
+                reduce(T_LINE, b)
+
+
+def test_verify_rejects_a_bad_slack():
+    # The one slack check: a config refuses what the library refuses.
+    for slack in (-5.0, float("nan"), math.inf, "x", None, True):
+        with pytest.raises(ParameterOutOfRange, match="slack: must be finite and >= 0"):
+            fp.verify_condition(T_LINE, 1.0, "modified", fp.PairSampler(count=10), slack=slack)
+    rep = fp.verify_condition(T_LINE, 3.0, "modified", fp.PairSampler(count=10), slack=0)
+    assert type(rep.slack) is float and rep.slack == 0.0
 
 
 def test_condition_ratio_rejects_pairs_without_a_ratio():

@@ -211,6 +211,21 @@ def test_family_validation():
     assert fp.generate_affine_family(1, 2, [1.0, 1.0], 0) == []
 
 
+def test_family_rejects_fields_that_are_not_integers():
+    for args, match in (
+        (("x", 2, [1.0, 1.0], 1), "^seed: must be an integer"),
+        ((1, "abc", [1.0, 1.0], 1), "^dim: must be an integer"),
+        ((1, 2.5, [1.0, 1.0], 1), "^dim: must be an integer"),
+        ((1, True, [1.0], 1), "^dim: must be an integer"),
+        ((1, 2, [1.0, 1.0], None), "^count: must be an integer"),
+        ((1, 2, [1.0, 1.0], 1.0), "^count: must be an integer"),
+        ((-1, 2, [1.0, 1.0], 1), "^seed: must be >= 0"),
+    ):
+        with pytest.raises(fp.ParameterOutOfRange, match=match):
+            fp.generate_affine_family(*args)
+    assert len(fp.generate_affine_family(np.int64(1), np.int64(2), [1.0, 1.0], np.int64(2))) == 2
+
+
 @pytest.mark.parametrize("count", [0, 1, 4])
 @pytest.mark.parametrize("dim", [1, 2, 8, 64])
 def test_family_json_is_the_indented_json_dump(tmp_path, dim, count):

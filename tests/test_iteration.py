@@ -553,6 +553,23 @@ def test_apriori_validation():
         fp.apriori_iterations(0.5, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", ["abc", None, [0.5], True])
+def test_scalar_parameters_that_are_not_numbers_are_typed_errors(bad):
+    for call, match in (
+        (lambda: fp.averaged(T_LINE, bad), "lambda must lie in"),
+        (lambda: fp.krasnoselskij(T_LINE, bad, [0.0]), "lambda must lie in"),
+        (lambda: fp.solve_modified(T_LINE, bad, [0.0]), "b must be finite and > 0"),
+        (lambda: fp.apriori_iterations(bad, 1.0, 1e-3), "lambda must lie in"),
+        (lambda: fp.apriori_iterations(0.5, bad, 1e-3), "d1 must be finite"),
+        (lambda: fp.apriori_iterations(0.5, 1.0, bad), "eps must be positive"),
+        (lambda: fp.check_fixed_point(T_LINE, [0.0], bad), "tol must be a number"),
+    ):
+        with pytest.raises(ParameterOutOfRange, match=match):
+            call()
+    with pytest.raises(ParameterOutOfRange, match="tol must be a number >= 0"):
+        fp.check_fixed_point(T_LINE, [0.0], float("nan"))
+
+
 @given(
     st.floats(0.05, 0.9),
     st.floats(0.0, 1e4),

@@ -277,7 +277,7 @@ def test_collapse_leaves_evaluation_unchanged():
         assert np.all(gap <= 1e-12 * np.linalg.norm(want, axis=1)), m
 
 
-def test_collapse_folds_maximal_affine_subtrees():
+def test_collapse_folds_only_whole_affine_maps():
     collapse = fp.mappings.collapse
     A, c = np.array([[0.5, 1.0], [0.0, -2.0]]), np.array([1.0, 3.0])
     box = fp.BoxProjection([-1.0, 0.0], [1.0, 0.5])
@@ -287,20 +287,55 @@ def test_collapse_folds_maximal_affine_subtrees():
     assert collapse(ident) is ident
     assert collapse(box) is box
     # A whole affine tree becomes one Affine, with as_affine's (A, c).
-    tree = fp.averaged(fp.Composition((fp.Rotation(0.3), lone)), 0.25)
-    folded = collapse(tree)
-    assert folded == fp.Affine(*fp.as_affine(tree))
-    # Box projections and the nodes above them keep their shape, with each
-    # run of adjacent affine stages folded into one stage.
+    for tree in (
+        fp.Rotation(0.3),
+        fp.averaged(fp.Composition((fp.Rotation(0.3), lone)), 0.25),
+        fp.Composition((ident, lone, lone)),
+        fp.modified_shift(fp.averaged(ident, 0.3), 2.0),
+    ):
+        folded = collapse(tree)
+        assert isinstance(folded, fp.Affine)
+        assert folded == fp.Affine(*fp.as_affine(tree))
+    # A tree with a box projection anywhere comes back as the same object:
+    # no affine part of it is folded on its own.
     mixed = fp.averaged(fp.Composition((fp.Rotation(0.3), lone, box, ident, lone)), 0.5)
-    got = collapse(mixed)
-    assert isinstance(got, fp.LinearCombinationWithIdentity)
-    assert (got.alpha, got.beta) == (0.5, 0.5)
-    stages = got.base.stages
-    assert len(stages) == 3
-    assert stages[0] == fp.Affine(*fp.as_affine(fp.Composition((fp.Rotation(0.3), lone))))
-    assert stages[1] is box
-    assert stages[2] == fp.Affine(*fp.as_affine(fp.Composition((ident, lone))))
+    for tree in (
+        fp.Composition((fp.Rotation(0.3), box)),
+        fp.Composition((lone, box)),
+        fp.averaged(fp.Composition((lone, box)), 0.25),
+        fp.Composition((box, fp.averaged(lone, 0.5), lone)),
+        mixed,
+    ):
+        assert collapse(tree) is tree
+
+
+def test_non_numeric_fields_are_invariant_violations():
+    # Each constructor names the field it refuses, as as_vector does.
+    lincomb = fp.LinearCombinationWithIdentity
+    for call, match in (
+        (lambda: fp.Affine("abc", [0.0]), "^matrix: expected an array of numbers"),
+        (lambda: fp.Affine([[1.0]], "abc"), "^offset: expected an array of numbers"),
+        (lambda: fp.operator_norm("abc"), "^matrix: expected an array of numbers"),
+        (lambda: fp.norm("abc"), "^vector: expected an array of numbers"),
+        (lambda: fp.norm([{}]), "^vector: expected an array of numbers"),
+        (lambda: fp.Rotation("abc"), "^theta: expected a number"),
+        (lambda: fp.Rotation(None), "^theta: expected a number"),
+        (lambda: lincomb("abc", 1.0, fp.Identity(1)), "^alpha: expected a number"),
+        (lambda: lincomb(0.5, [1.0], fp.Identity(1)), "^beta: expected a number"),
+        (lambda: fp.Identity("abc"), "^dim: expected an integer"),
+        (lambda: fp.Identity(2.5), "^dim: expected an integer"),
+        (lambda: fp.Identity(True), "^dim: expected an integer"),
+        (lambda: fp.line_map("x", 0), "^slope: expected a number"),
+        (lambda: fp.line_map(1.0, None), "^intercept: expected a number"),
+        (lambda: fp.scaling_map(None), "^factor: expected a number"),
+        (lambda: fp.scaling_map(2.0, "x"), "^dim: must be an integer in"),
+        (lambda: fp.scaling_map(2.0, -1), "^dim: must be an integer in"),
+    ):
+        with pytest.raises(InvariantViolation, match=match):
+            call()
+    # numpy scalars are numbers.
+    assert fp.Identity(np.int64(2)).dim == 2
+    assert fp.line_map(np.float64(2.0), np.int32(1)) == fp.line_map(2.0, 1.0)
 
 
 def test_collapse_keeps_a_fold_that_overflows():
