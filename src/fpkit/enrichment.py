@@ -18,8 +18,10 @@ block is filled into buffers the blocks share and scored there, so no
 (count, d) pair array is made; the few far pairs that fall too close are
 redrawn at the end and scored again as one last block. ``PairSampler.draw``
 copies the same blocks into two whole arrays.
-``min_b_affine`` is exact (up to bisection tolerance) for affine maps, where
-the condition collapses to a convex norm inequality in b.
+``min_b_affine`` is exact for affine maps, where the condition collapses to
+a convex norm inequality in b: it solves for the least b in closed form (row
+maxima in l1 and l-infinity, eigenvalues in l2), and the operator-norm kernel
+accepts every b it returns.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ from .spaces import (
     as_matrix,
     as_norm_kind,
     as_vector,
+    is_integer,
     is_number,
 )
 
-B_CAP = 1e6  # search ceiling for min_b_affine
+B_CAP = 1e6  # min_b_affine answers None when no b up to this is feasible
 B_TOL = 1e-8  # min_b_affine returns the least feasible b to within this
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio, 0.618...
 
 DEFAULT_SLACK = 1e-9
 
@@ -148,10 +150,13 @@ class PairSampler:
     near_pair_fraction: float = 0.2
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        # numpy integers are taken and kept as Python ints, which a config
+        # document can encode.
+        if not is_integer(self.seed) or self.seed < 0:
             raise ParameterOutOfRange(f"seed must be a non-negative integer, got {self.seed!r}")
-        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
+        if not is_integer(self.count) or self.count < 1:
             raise ParameterOutOfRange(f"count must be an integer >= 1, got {self.count!r}")
+        self.seed, self.count = int(self.seed), int(self.count)
         for name in ("box_radius", "near_pair_fraction"):
             if not is_number(getattr(self, name)):
                 raise ParameterOutOfRange(f"{name} must be a number, got {getattr(self, name)!r}")
@@ -173,7 +178,7 @@ class PairSampler:
         are those of plain ``rng.uniform`` and ``rng.standard_normal`` draws
         of the whole sample.
         """
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        if not is_integer(dim) or dim < 1:
             raise ParameterOutOfRange(f"dim must be an integer >= 1, got {dim!r}")
         xs = np.empty((self.count, dim))
         ys = np.empty((self.count, dim))
@@ -456,28 +461,59 @@ def verify_condition(
     )
 
 
-def _golden_minimizer(g, c: float) -> float:
-    """Approximate minimizer of the convex ``g`` on [0, c].
+def _box_parts(A: np.ndarray, norm_kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    """(D, R) for the l1 or l-infinity closed forms: D = diag(M), and R_i sums
+    |M_ij| over j != i, where M is A for l-infinity and its transpose for l1.
 
-    Golden-section search: each narrowing keeps one interior point and
-    evaluates g once at a new one, until the bracket has shrunk to
-    1e-10 * max(1, c); its midpoint is returned.
+    Then ||bI + A|| = max_i (|b + D_i| + R_i), one term per row of M.
     """
-    a = 0.0
-    x1, x2 = c - _INVPHI * c, _INVPHI * c
-    g1, g2 = g(x1), g(x2)
-    # Each pass shrinks the bracket by _INVPHI whatever g returns, so from
-    # c <= B_CAP = 1e6 down to 1e-10 it takes at most 77 passes.
-    while c - a > 1e-10 * max(1.0, c):
-        if g1 <= g2:  # the minimizer lies in [a, x2]
-            c, x2, g2 = x2, x1, g1
-            x1 = c - _INVPHI * (c - a)
-            g1 = g(x1)
-        else:  # the minimizer lies in [x1, c]
-            a, x1, g1 = x1, x2, g2
-            x2 = a + _INVPHI * (c - a)
-            g2 = g(x2)
-    return 0.5 * (a + c)
+    M = A.T if norm_kind is NormKind.L1 else A
+    off = np.abs(M)
+    np.fill_diagonal(off, 0.0)
+    return M.diagonal(), off.sum(axis=1)
+
+
+def _enriched_least(A: np.ndarray, norm_kind: NormKind) -> float:
+    """The least enriched b by closed form, or inf when it gives none.
+
+    l1 and l-infinity: |b + D_i| + R_i <= b + 1 holds iff D_i + R_i <= 1 and
+    b >= (R_i - D_i - 1) / 2. l2: squaring ||bI + A|| <= b + 1 cancels b^2 and
+    leaves P <= bN, with N = 2I - (A + A^T) and P = A^T A - I. When N is
+    positive definite, the least b is the top eigenvalue of N^-1/2 P N^-1/2.
+    When N has a negative eigenvalue no b is feasible; when it is singular
+    there is no closed form, and inf leaves the verdict to the kernel.
+    """
+    if norm_kind is not NormKind.L2:
+        D, R = _box_parts(A, norm_kind)
+        return max(0.0, float(np.max(R - D - 1.0)) / 2.0) if np.max(D + R) <= 1.0 else math.inf
+    eye = np.eye(A.shape[0])
+    w, V = np.linalg.eigh(2.0 * eye - (A + A.T))
+    if not w[0] > 0.0:
+        return math.inf
+    W = V / np.sqrt(w)
+    return max(0.0, float(np.linalg.eigvalsh(W.T @ (A.T @ A - eye) @ W)[-1]))
+
+
+def _modified_interval(A: np.ndarray, norm_kind: NormKind) -> tuple[float, float]:
+    """Ends (lo, hi) of the modified feasible set by closed form; lo > hi when it is empty.
+
+    l1 and l-infinity: |b + D_i| + R_i <= 1 holds iff
+    R_i - D_i - 1 <= b <= 1 - R_i - D_i. l2: ||bI + A|| <= 1 squares to
+    Q(b) = b^2 I + b(A + A^T) + P <= 0, with P = A^T A - I. When some Q(b)
+    is, the quadratic eigenproblem det Q = 0 is hyperbolic: its 2d
+    eigenvalues are real and Q <= 0 exactly between the d-th and the
+    (d+1)-th. They are the eigenvalues of the companion
+    [[0, I], [-P, -(A + A^T)]], taken by real part; otherwise the ends mean
+    nothing, and the kernel's verdict decides.
+    """
+    if norm_kind is not NormKind.L2:
+        D, R = _box_parts(A, norm_kind)
+        return max(0.0, float(np.max(R - D - 1.0))), float(np.min(1.0 - R - D))
+    d = A.shape[0]
+    eye = np.eye(d)
+    companion = np.block([[np.zeros((d, d)), eye], [eye - A.T @ A, -(A + A.T)]])
+    re = np.sort(np.linalg.eigvals(companion).real)
+    return max(0.0, float(re[d - 1])), float(re[d])
 
 
 def min_b_affine(
@@ -493,17 +529,28 @@ def min_b_affine(
     feasible set is an interval. Returns its left endpoint to within ``B_TOL``,
     or None when no b <= B_CAP is feasible.
 
-    The enriched g is convex and bounded above, hence non-increasing, so a
-    doubling bracket plus bisection suffices. The modified g is U-shaped and
-    its feasible interval may be narrow, so a golden-section search locates
-    its minimizer first. Since ||b I + A|| >= b - ||A||, every feasible b is
-    at most ||A|| + 1 = g(0) + 2, which bounds that search. If g is positive
-    at the minimizer nothing is feasible; otherwise bisection between 0 and
-    the minimizer gives the left endpoint.
+    The endpoint is solved for, not searched: in l1 and l-infinity it is a
+    maximum over rows, and in l2 the top eigenvalue of a symmetric-definite
+    pencil (enriched) or the d-th of a quadratic eigenproblem (modified). The
+    kernel of ``OPERATOR_NORMS`` then checks it: the answer is the closed form
+    stepped up by a few ulps until g reads <= 0 there, as a bisection's upper
+    end would be. Where g is flat near the endpoint, g reads 0 over a stretch
+    wider than ``B_TOL``, and the answer is the closed form's point in it.
+
+    None rests on the kernel too. Every feasible b is at least
+    (||A|| - 1) / 2, so ||A|| = g(0) + 1 > 2 B_CAP + 1 rules every b out before
+    any product of A is formed. Otherwise an enriched None needs g(B_CAP) > 0,
+    which rules out every b <= B_CAP because the enriched g is non-increasing,
+    and a modified None needs g > 0 at the closed form's endpoint, and also at
+    the middle of its interval when that is not empty. The steps up from the
+    closed form grow fourfold, so a kernel that refuses many of them still
+    meets a b it accepts within 37 steps; bisection of the last step then
+    finds the least b to within ``B_TOL``.
     """
     A = as_matrix(matrix, name="matrix")
     kind = _as_condition_kind(kind)
-    op_norm = OPERATOR_NORMS[as_norm_kind(norm_kind)]
+    norm_kind = as_norm_kind(norm_kind)
+    op_norm = OPERATOR_NORMS[norm_kind]
     eye = np.eye(A.shape[0])
 
     def g(b: float) -> float:
@@ -512,22 +559,35 @@ def min_b_affine(
     g0 = g(0.0)
     if g0 <= 0.0:
         return 0.0
+    if g0 > 2.0 * B_CAP:
+        return None
 
+    # lo is the answer if the kernel accepts it; otherwise a feasible map has
+    # hi feasible too, and the least b lies in (lo, hi].
     if kind is ConditionKind.ENRICHED:
-        lo, hi = 0.0, 1.0
-        # hi doubles from 1 and stops at B_CAP = 1e6: at most 21 passes. A NaN
-        # g counts as infeasible.
-        while not (g(hi) <= 0.0):
-            if hi >= B_CAP:
-                return None
-            lo = hi  # last infeasible point
-            hi = min(hi * 2.0, B_CAP)
+        lo, hi = _enriched_least(A, norm_kind), B_CAP
+        if lo > B_CAP:
+            # No b up to B_CAP by closed form: g(B_CAP) > 0 confirms it, or
+            # else bisection from 0 finds the least.
+            lo = 0.0
     else:
-        hi = _golden_minimizer(g, min(B_CAP, g0 + 2.0))
-        if g(hi) > 0.0:
-            return None
-        lo = 0.0
-
+        lo, hi = _modified_interval(A, norm_kind)
+        lo = min(lo, B_CAP)
+        hi = 0.5 * (lo + min(hi, B_CAP))
+    if (g0 if lo == 0.0 else g(lo)) <= 0.0:
+        return lo
+    if not lo < hi or g(hi) > 0.0:
+        return None
+    # The kernel refuses lo and accepts hi. Step up from lo by 1, 4, 16, ...
+    # ulps of max(lo, 1) until it accepts; where lo was refused by rounding
+    # alone, a few steps do. From 2**-52 to B_CAP that is at most 37 passes.
+    step = math.ulp(max(lo, 1.0))
+    while True:
+        b = min(lo + step, hi)
+        if b == hi or g(b) <= 0.0:
+            break
+        lo, step = b, 4.0 * step
+    hi = b
     # Each pass halves hi - lo <= B_CAP = 1e6 until it is at most B_TOL / 2:
     # at most 48 passes.
     while hi - lo > B_TOL * 0.5:

@@ -30,7 +30,7 @@ from .enrichment import (
 )
 from .errors import DimensionMismatch, InsufficientData, NonFiniteResult, ParameterOutOfRange
 from .mappings import Mapping, _compile, collapse, evaluate
-from .spaces import VECTOR_NORMS, NormKind, as_norm_kind, as_vector, is_number, norm
+from .spaces import VECTOR_NORMS, NormKind, as_norm_kind, as_vector, is_integer, is_number, norm
 
 # A run is declared diverged once the residual has grown on this many
 # consecutive steps, ignored during the initial transient.
@@ -70,8 +70,11 @@ class StopRule:
         eps_abs, eps_rel = self.eps_abs, self.eps_rel
         if not (eps_abs >= 0 and eps_rel >= 0) or (eps_abs == 0 and eps_rel == 0):
             raise ParameterOutOfRange("eps_abs/eps_rel must be >= 0 and not both zero")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+        if not is_integer(self.max_iter):
             raise ParameterOutOfRange(f"max_iter must be an integer, got {self.max_iter!r}")
+        # numpy integers are taken and kept as Python ints, which a config
+        # document can encode.
+        self.max_iter = int(self.max_iter)
         if self.max_iter < 1:
             raise ParameterOutOfRange("max_iter must be >= 1")
         if not self.norm_cap > 0:

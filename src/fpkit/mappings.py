@@ -240,12 +240,21 @@ def evaluate(mapping: Mapping, x) -> np.ndarray:
 
 
 def evaluate_many(mapping: Mapping, xs) -> np.ndarray:
-    """Apply ``mapping`` to each row of ``xs`` (shape (n, d))."""
-    xs = np.asarray(xs, dtype=float)
+    """Apply ``mapping`` to each row of ``xs`` (shape (n, d)).
+
+    A batch that is not an array of finite numbers is an InvariantViolation
+    naming ``xs``, as ``as_vector`` names ``x`` for ``evaluate``.
+    """
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError):
+        raise InvariantViolation("xs: expected an array of numbers") from None
     if xs.ndim != 2 or xs.shape[1] != mapping.dim:
         raise DimensionMismatch(
             f"mapping of dimension {mapping.dim} applied to batch of shape {xs.shape}"
         )
+    if not np.isfinite(xs).all():
+        raise InvariantViolation("xs: entries must be finite")
     return _finite(_compile(mapping), xs)
 
 

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fpkit as fp
 from fpkit import enrichment, spaces
@@ -575,6 +578,12 @@ def _np_gap(A, kind, bs, ord_):
     return tops - (bs + 1.0 if kind is fp.ConditionKind.ENRICHED else 1.0)
 
 
+def _kernel_gap(A, kind, norm_kind, b):
+    """||bI + A|| - rhs(b) through the kernel that min_b_affine checks with."""
+    rhs = b + 1.0 if kind is fp.ConditionKind.ENRICHED else 1.0
+    return spaces.OPERATOR_NORMS[norm_kind](b * np.eye(A.shape[0]) + A) - rhs
+
+
 def _min_b_family():
     """ROADMAP's least-b family: one map per seed 0-9 and d in {2, 4, 8}."""
     for d in (2, 4, 8):
@@ -630,6 +639,27 @@ def test_modified_min_b_bracket_keeps_answers_near_b_cap(norm_kind):
             assert got == pytest.approx(want, abs=B_TOL), a
 
 
+def test_modified_min_b_finds_a_one_point_feasible_set():
+    # Row by row (l-infinity), |b - 1.5| + 0.5 <= 1 and |b - 2| + 1 <= 1 meet
+    # only at b = 2; column by column (l1), only at b = 1.5.
+    A = np.array([[-1.5, -0.5], [-1.0, -2.0]])
+    kind = fp.ConditionKind.MODIFIED
+    for norm_kind, want in ((fp.NormKind.LINF, 2.0), (fp.NormKind.L1, 1.5)):
+        assert fp.min_b_affine(A, kind, norm_kind) == want
+        assert _kernel_gap(A, kind, norm_kind, want) == 0.0
+
+
+def test_min_b_bisects_where_the_closed_form_has_no_answer():
+    # 2I - (A + A^T) = diag(0, 8) is singular, so the pencil gives no b, yet
+    # ||bI + A||_2 = max(b + 1, |b - 3|) <= b + 1 from b = 1 on: the kernel
+    # accepts B_CAP, and steps from 0 with a bisection find the least b.
+    A = np.diag([1.0, -3.0])
+    kind, norm_kind = fp.ConditionKind.ENRICHED, fp.NormKind.L2
+    b = fp.min_b_affine(A, kind, norm_kind)
+    assert b == pytest.approx(1.0, abs=B_TOL)
+    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0 < _kernel_gap(A, kind, norm_kind, b - B_TOL)
+
+
 def _feasible_modified_family():
     """A = -b0*I + M with ||M|| < 1 in the norm under test, so the modified
     condition holds at b = b0: b0 in [0.5, 50], d in {2, 4, 8}."""
@@ -660,9 +690,10 @@ def test_modified_min_b_is_least_on_feasible_family():
 
 
 def test_min_b_operator_norm_budget(monkeypatch):
-    # Each least-b search evaluates ||bI + A|| through the kernel table, once
-    # per probe. Over the family in every kind and norm the mean is 39.3
-    # evaluations per call; a ternary search over [0, B_CAP] needed 104.
+    # Each least-b call evaluates ||bI + A|| through the kernel table: at 0,
+    # then once to check the closed form's answer, or at B_CAP to confirm an
+    # enriched None. Over the family in every kind and norm the mean is 2.0
+    # evaluations per call.
     evals = 0
     for norm_kind, kernel in list(spaces.OPERATOR_NORMS.items()):
         def counted(M, kernel=kernel):
@@ -677,7 +708,70 @@ def test_min_b_operator_norm_budget(monkeypatch):
                 fp.min_b_affine(A, kind, norm_kind)
                 calls += 1
     assert calls == 180
-    assert evals / calls <= 45.0, evals / calls
+    assert evals / calls <= 3.0, evals / calls
+
+
+def test_min_b_of_huge_matrices_is_none_without_warnings():
+    # ||A|| > 2 B_CAP + 1 puts every feasible b above B_CAP, so no product of
+    # A is formed: A^T A would overflow for the first three.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in (
+            [[1e300, 1e300], [1e300, 1e300]],
+            -1e200 * np.eye(2),
+            np.diag([1e160, -0.5]),
+            [[-3e6]],
+        ):
+            for kind in fp.ConditionKind:
+                for norm_kind in fp.NormKind:
+                    assert fp.min_b_affine(A, kind, norm_kind) is None, (A, kind, norm_kind)
+
+
+def test_min_b_where_the_gap_is_flat():
+    # lambda_min(2I - (A + A^T)) is 3.5e-4, and the kernel's gap reads 0 or
+    # 5.7e-14 over [b - 2e-7, b]: no b there is resolvable to B_TOL. The
+    # answer is still one the kernel accepts, near the bracketing search's.
+    A = np.array([
+        [0.9934142012161769, 0.4937939471919176],
+        [-0.2926569506171738, -0.5782334654068086],
+    ])
+    kind, norm_kind = fp.ConditionKind.ENRICHED, fp.NormKind.L2
+    b = fp.min_b_affine(A, kind, norm_kind)
+    assert b == pytest.approx(437.48937449231744, rel=1e-6)
+    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
+
+
+@st.composite
+def _square_matrices(draw):
+    d = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.floats(-3.0, 3.0), min_size=d * d, max_size=d * d))
+    return np.array(entries).reshape(d, d)
+
+
+@given(_square_matrices(), st.sampled_from(list(fp.ConditionKind)), st.sampled_from(list(fp.NormKind)))
+@settings(max_examples=200, deadline=None)
+def test_min_b_is_kernel_feasible_and_least_hypothesis(A, kind, norm_kind):
+    b = fp.min_b_affine(A, kind, norm_kind)
+    if b is None:
+        return
+    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
+    below = b - 1e-6 * max(1.0, b)
+    assert below < 0.0 or _kernel_gap(A, kind, norm_kind, below) > 0.0
+
+
+def test_min_b_makes_the_enriched_reduction_nonexpansive():
+    # The paper's point: T is b-enriched nonexpansive exactly when
+    # S_b = (bI + T) / (b + 1) is nonexpansive. At the least b, S_b's matrix
+    # has l2 norm at most 1.
+    found = 0
+    for _, _, A in _min_b_family():
+        b = fp.min_b_affine(A, fp.ConditionKind.ENRICHED, fp.NormKind.L2)
+        if b is None:
+            continue
+        found += 1
+        S = fp.enriched_reduction(fp.Affine(A, np.zeros(A.shape[0])), b)
+        assert fp.operator_norm(fp.as_affine(S)[0]) <= 1.0 + 1e-12, (A, b)
+    assert found > 0
 
 
 def test_enriched_feasibility_is_upward_closed():

@@ -226,6 +226,30 @@ def test_family_rejects_fields_that_are_not_integers():
     assert len(fp.generate_affine_family(np.int64(1), np.int64(2), [1.0, 1.0], np.int64(2))) == 2
 
 
+def test_integer_fields_take_numpy_integers():
+    # Stored as Python ints, so a config holding them encodes.
+    stop = fp.StopRule(max_iter=np.int64(5))
+    sampler = fp.PairSampler(seed=np.int64(3), count=np.int64(30))
+    assert type(stop.max_iter) is type(sampler.seed) is type(sampler.count) is int
+    assert stop == fp.StopRule(max_iter=5) and sampler == fp.PairSampler(seed=3, count=30)
+    assert sampler.draw(np.int64(2))[0].shape == (30, 2)
+    cfg = demo_config()
+    cfg = dataclasses.replace(cfg, stop=stop, sampler=sampler, verify=True)
+    doc = fp.config_to_doc(cfg)
+    assert (doc["stop"]["max_iter"], doc["sampler"]["seed"], doc["sampler"]["count"]) == (5, 3, 30)
+    assert canonical_json(doc) == canonical_json(fp.config_to_doc(dataclasses.replace(
+        cfg, stop=fp.StopRule(max_iter=5), sampler=fp.PairSampler(seed=3, count=30))))
+    for call in (
+        lambda: fp.StopRule(max_iter=np.float64(5.0)),
+        lambda: fp.PairSampler(seed=np.int64(-1)),
+        lambda: fp.PairSampler(count=np.int64(0)),
+        lambda: fp.PairSampler(count=np.bool_(True)),
+        lambda: fp.PairSampler().draw(np.float64(2.0)),
+    ):
+        with pytest.raises(fp.ParameterOutOfRange):
+            call()
+
+
 @pytest.mark.parametrize("count", [0, 1, 4])
 @pytest.mark.parametrize("dim", [1, 2, 8, 64])
 def test_family_json_is_the_indented_json_dump(tmp_path, dim, count):

@@ -330,6 +330,8 @@ def test_non_numeric_fields_are_invariant_violations():
         (lambda: fp.scaling_map(None), "^factor: expected a number"),
         (lambda: fp.scaling_map(2.0, "x"), "^dim: must be an integer in"),
         (lambda: fp.scaling_map(2.0, -1), "^dim: must be an integer in"),
+        (lambda: fp.evaluate_many(fp.line_map(0.5, 1.0), [["a"]]), "^xs: expected an array of numbers"),
+        (lambda: fp.evaluate_many(fp.Identity(2), [[0.0, 1.0], [math.nan, 1.0]]), "^xs: entries must be finite"),
     ):
         with pytest.raises(InvariantViolation, match=match):
             call()
