@@ -319,9 +319,9 @@ def _with_distances(xs: np.ndarray, ys: np.ndarray):
 class EnrichmentReport:
     """Outcome of a sampled condition check.
 
-    ``passed`` is exactly ``max_ratio <= 1 + slack``. The witness is the
-    sampled pair attaining ``max_ratio`` (the earliest one on ties) and
-    reproduces it on re-evaluation.
+    ``passed`` is a read-only property, exactly ``max_ratio <= 1 + slack``.
+    The witness is the sampled pair attaining ``max_ratio`` (the earliest one
+    on ties) and reproduces it on re-evaluation.
     """
 
     kind: ConditionKind
@@ -330,8 +330,11 @@ class EnrichmentReport:
     max_ratio: float
     witness_x: np.ndarray
     witness_y: np.ndarray
-    passed: bool
     slack: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_ratio <= 1.0 + self.slack
 
     def to_dict(self) -> dict:
         return {
@@ -421,9 +424,9 @@ def verify_condition(
 ) -> EnrichmentReport:
     """Sampled, refutable check of the (modified-)enrichment condition.
 
-    A report with ``passed=False`` carries a concrete violating pair and is a
-    proof of failure. ``passed=True`` only says no sampled pair violated the
-    inequality beyond ``slack``.
+    A report whose ``passed`` is False carries a concrete violating pair and
+    is a proof of failure. A True ``passed`` only says no sampled pair
+    violated the inequality beyond ``slack``.
 
     Each row block of the sampler's stream is scored in the buffers it was
     drawn into, max(1, 2**15 // d) rows at a time, so no (count, d) pair
@@ -447,18 +450,8 @@ def verify_condition(
     for rows, xs, ys, diffs, dists in stream.blocks():
         ratios[rows] = _score(apply, b, factor, norm_kind, xs, ys, diffs, dists)
     idx = int(np.argmax(ratios))  # first index on ties
-    max_ratio = float(ratios[idx])
     witness_x, witness_y = stream.pair(idx)
-    return EnrichmentReport(
-        kind=kind,
-        b=b,
-        pairs_tested=sampler.count,
-        max_ratio=max_ratio,
-        witness_x=witness_x,
-        witness_y=witness_y,
-        passed=max_ratio <= 1.0 + slack,
-        slack=slack,
-    )
+    return EnrichmentReport(kind, b, sampler.count, float(ratios[idx]), witness_x, witness_y, slack)
 
 
 def _box_parts(A: np.ndarray, norm_kind: NormKind) -> tuple[np.ndarray, np.ndarray]:

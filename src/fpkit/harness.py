@@ -30,12 +30,14 @@ from .enrichment import (
     ConditionKind,
     EnrichmentReport,
     PairSampler,
+    _as_b,
     _as_slack,
     min_b_affine,
     verify_condition,
 )
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     FpkitError,
     InsufficientData,
     InvariantViolation,
@@ -46,13 +48,15 @@ from .errors import (
 from .iteration import (
     IterationTrace,
     StopRule,
+    _as_lam,
+    _as_solve_b,
     empirical_ratio,
     krasnoselskij,
     picard,
     solve_modified,
     write_trace_csv,
 )
-from .mappings import Affine, Mapping, _num, as_affine, parse_mapping, serialize_mapping
+from .mappings import Affine, Mapping, _as_point, _num, as_affine, parse_mapping, serialize_mapping
 from .spaces import DIM_CAP, NormKind, as_vector, is_integer
 
 
@@ -94,10 +98,10 @@ class ExperimentConfig:
         if self.scheme in _ITERATIVE:
             if self.x0 is None:
                 raise ConfigError(f"x0: required for scheme {self.scheme.value}")
-            if self.x0.size != self.mapping.dim:
-                raise ConfigError(
-                    f"x0: dimension {self.x0.size} does not match mapping dimension {self.mapping.dim}"
-                )
+            try:
+                _as_point(self.mapping, self.x0, "x0")
+            except (DimensionMismatch, InvariantViolation) as e:
+                raise ConfigError(str(e)) from None
         if self.scheme is Scheme.MIN_B:
             form = as_affine(self.mapping)
             if form is None:
@@ -109,14 +113,26 @@ class ExperimentConfig:
         return self.sampler if self.sampler is not None else PairSampler(seed=self.seed)
 
 
+# The parameter each scheme requires, with the library check of its range.
+_PARAMETER = {
+    Scheme.KRASNOSELSKIJ: ("lambda", _as_lam),
+    Scheme.SOLVE_MODIFIED: ("b", _as_solve_b),
+    Scheme.VERIFY: ("b", _as_b),
+}
+
+
 def _check_parameters(scheme: Scheme, b, lam, kind) -> None:
-    """A scheme's checks of its own parameters, which need no mapping."""
-    if scheme is Scheme.KRASNOSELSKIJ and (lam is None or not 0.0 < lam < 1.0):
-        raise ConfigError(f"lambda: must lie in (0, 1) for scheme krasnoselskij, got {lam}")
-    if scheme is Scheme.SOLVE_MODIFIED and (b is None or not b > 0.0):
-        raise ConfigError(f"b: must be > 0 for scheme solve_modified, got {b}")
-    if scheme is Scheme.VERIFY and (b is None or b < 0.0):
-        raise ConfigError(f"b: must be >= 0 for scheme verify, got {b}")
+    """Which parameters a scheme requires, none of which needs the mapping;
+    each range is the library's own check."""
+    if scheme in _PARAMETER:
+        name, check = _PARAMETER[scheme]
+        value = lam if name == "lambda" else b
+        if value is None:
+            raise ConfigError(f"{name}: required for scheme {scheme.value}")
+        try:
+            check(value)
+        except ParameterOutOfRange as e:
+            raise ConfigError(f"{name}: {e}") from None
     if scheme in (Scheme.VERIFY, Scheme.MIN_B) and kind is None:
         raise ConfigError(f"kind: required for scheme {scheme.value}")
 
@@ -224,17 +240,22 @@ _FIELDS = {
     "count": (_nonneg_int, 0),
 }
 
-# The fields each document level takes.
-_EXPERIMENT = (
-    "mapping", "scheme", "norm", "b", "lambda", "kind", "x0", "stop",
-    "sampler", "slack", "verify", "store_iterates", "seed", "output_dir",
-)
+# The fields each document level takes; an experiment's are those of
+# ExperimentConfig (_CONFIG_FIELDS, below).
 _GENERATOR = ("seed", "dim", "singular_values", "count")
 _BENCH = ("family", "schemes", "stop", "norm", "seed", "x0", "output_dir")
 _BENCH_SCHEME = ("scheme", "lambda", "b")
 
-# ExperimentConfig attributes whose names differ from their fields'.
-_ATTRS = {"norm": "norm_kind", "lambda": "lam"}
+# The attributes whose names differ from their JSON fields'.
+_JSON_NAMES = {"norm_kind": "norm", "lam": "lambda"}
+
+
+def _json_fields(cls) -> dict[str, str]:
+    """attribute -> JSON field, for each field of the dataclass ``cls`` in order."""
+    return {f.name: _JSON_NAMES.get(f.name, f.name) for f in dataclasses.fields(cls)}
+
+
+_CONFIG_FIELDS = _json_fields(ExperimentConfig)
 
 
 def _read(doc, names, prefix: str = "", **defaults) -> dict:
@@ -259,8 +280,8 @@ def _read(doc, names, prefix: str = "", **defaults) -> dict:
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a JSON document."""
-    fields = _read(doc, _EXPERIMENT)
-    return ExperimentConfig(**{_ATTRS.get(k, k): v for k, v in fields.items()})
+    fields = _read(doc, _CONFIG_FIELDS.values())
+    return ExperimentConfig(**{attr: fields[name] for attr, name in _CONFIG_FIELDS.items()})
 
 
 def _plain(v):
@@ -273,12 +294,14 @@ def _plain(v):
         return serialize_mapping(v)
     if isinstance(v, (StopRule, PairSampler)):
         return dataclasses.asdict(v)
+    if isinstance(v, EnrichmentReport):
+        return v.to_dict()
     return v
 
 
 def config_to_doc(cfg: ExperimentConfig) -> dict:
     """Canonical JSON document for a config, with every default materialized."""
-    doc = {name: _plain(getattr(cfg, _ATTRS.get(name, name))) for name in _EXPERIMENT}
+    doc = {name: _plain(getattr(cfg, attr)) for attr, name in _CONFIG_FIELDS.items()}
     doc["sampler"] = _plain(cfg.effective_sampler())
     return doc
 
@@ -314,19 +337,10 @@ class RunSummary:
     min_b: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "digest": self.digest,
-            "scheme": self.scheme.value,
-            "status": self.status,
-            "wall_time": self.wall_time,
-            "artifacts": self.artifacts,
-            "iterations": self.iterations,
-            "fixed_point": self.fixed_point,
-            "lambda": self.lam,
-            "residual_T": self.residual_T,
-            "report": None if self.report is None else self.report.to_dict(),
-            "min_b": self.min_b,
-        }
+        return {name: _plain(getattr(self, attr)) for attr, name in _SUMMARY_FIELDS.items()}
+
+
+_SUMMARY_FIELDS = _json_fields(RunSummary)
 
 
 def _dispatch(cfg: ExperimentConfig) -> tuple[str, IterationTrace | None, dict]:
@@ -365,10 +379,15 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[str, IterationTrace | None, dict]:
 
 
 def _out_dir(target) -> Path:
-    """The output directory ``target``, created if missing."""
+    """The output directory ``target``; ConfigError when none is given."""
     if target is None:
         raise ConfigError("output_dir: required (set it in the config or pass out_dir)")
-    out = Path(target)
+    return Path(target)
+
+
+def _made(out: Path) -> Path:
+    """``out``, created if missing. Each run calls this only once its
+    document has been checked, so a refused document leaves no directory."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as e:
@@ -386,7 +405,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     written.
     """
     digest = config_digest(cfg)  # refuses a config before any directory exists
-    out = _out_dir(out_dir if out_dir is not None else cfg.output_dir)
+    out = _made(_out_dir(out_dir if out_dir is not None else cfg.output_dir))
     t0 = time.perf_counter()
     status, trace, extras = _dispatch(cfg)
     summary = RunSummary(
@@ -567,8 +586,9 @@ def run_bench(doc: dict, out_dir=None) -> tuple[list[dict], Path]:
         raise ConfigError("family: expected a list of mappings or a generator object")
     out = _out_dir(out_dir if out_dir is not None else fields["output_dir"])
     rows = bench_compare(family, fields["schemes"], fields["stop"], fields["norm"], fields["x0"])
-    write_bench_csv(rows, out / "bench.csv")
-    return rows, out / "bench.csv"
+    path = _made(out) / "bench.csv"
+    write_bench_csv(rows, path)
+    return rows, path
 
 
 def _family_json(family: list[Affine]) -> str:
@@ -599,7 +619,7 @@ def run_gen(doc: dict, out_dir=None) -> tuple[list[Affine], Path]:
     fields = _read(doc, _GENERATOR + ("output_dir",))
     out = _out_dir(out_dir if out_dir is not None else fields["output_dir"])
     family = _generate(fields)
-    path = out / "family.json"
+    path = _made(out) / "family.json"
     try:
         path.write_text(_family_json(family) + "\n")
     except OSError as e:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .enrichment import (
     averaged,
     verify_condition,
 )
-from .errors import DimensionMismatch, InsufficientData, NonFiniteResult, ParameterOutOfRange
-from .mappings import Mapping, _compile, collapse, evaluate
+from .errors import InsufficientData, IoError, NonFiniteResult, ParameterOutOfRange
+from .mappings import Mapping, _as_point, _compile, collapse, evaluate
 from .spaces import VECTOR_NORMS, NormKind, as_norm_kind, as_vector, is_integer, is_number, norm
 
 # A run is declared diverged once the residual has grown on this many
@@ -85,20 +86,30 @@ class StopRule:
 class IterationTrace:
     """Record of one iteration run.
 
-    ``residuals[n]`` is ||x_{n+1} - x_n|| for the (n+1)-th application;
-    ``ratios`` is aligned with ``residuals`` (ratios[n] = residuals[n] /
-    residuals[n-1], None at index 0 and wherever the previous residual is
-    zero). ``iterations == len(residuals)``. ``iterates`` holds the full
-    sequence x_0, x_1, ... only when requested at run time.
+    ``residuals[n]`` is ||x_{n+1} - x_n|| for the (n+1)-th application, and
+    the trace stores nothing else per step: ``iterations`` and ``ratios`` are
+    read-only properties computed from ``residuals``. ``iterates`` holds the
+    full sequence x_0, x_1, ... only when requested at run time.
     """
 
     residuals: list[float]
-    ratios: list[float | None]
     status: Status
     final: np.ndarray
-    iterations: int
     norm_kind: NormKind
     iterates: list[np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def iterations(self) -> int:
+        """The number of recorded steps, ``len(residuals)``."""
+        return len(self.residuals)
+
+    @cached_property
+    def ratios(self) -> list[float | None]:
+        """``ratios[n] = residuals[n] / residuals[n-1]``, aligned with
+        ``residuals``: None at index 0 and wherever the previous residual is
+        not positive. Computed on first access and kept."""
+        rs = self.residuals
+        return [r / prev if prev > 0.0 else None for prev, r in zip([0.0] + rs, rs)]
 
 
 def picard(
@@ -142,16 +153,15 @@ def picard(
     stop = stop if stop is not None else StopRule()
     norm_kind = as_norm_kind(norm_kind)
     row_norms = VECTOR_NORMS[norm_kind]
-    x = _start(mapping, x0)
+    x = _as_point(mapping, x0, "x0")
     step = _compile(collapse(mapping))
     eps_abs, eps_rel, norm_cap = stop.eps_abs, stop.eps_rel, stop.norm_cap
 
     residuals: list[float] = []
-    ratios: list[float | None] = []
     iterates: list[np.ndarray] | None = [x.copy()] if store_iterates else None
     status = Status.MAX_ITER_REACHED
     growth_streak = 0
-    prev = 0.0
+    prev = math.inf  # no step grows on the first
     left, size = stop.max_iter, _FIRST_BLOCK
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,11 +182,7 @@ def picard(
                 if not math.isfinite(x_norm) and not np.isfinite(rows[i]).all():
                     status = Status.DIVERGED
                     break
-                if residuals:
-                    ratios.append(r / prev if prev > 0.0 else None)
-                    growth_streak = growth_streak + 1 if r > prev else 0
-                else:
-                    ratios.append(None)
+                growth_streak = growth_streak + 1 if r > prev else 0
                 residuals.append(r)
                 prev = r
                 if r <= eps_abs + eps_rel * x_norm:
@@ -193,25 +199,25 @@ def picard(
             if iterates is not None:
                 iterates += [row.copy() for row in rows[1:done + 1]]
 
-    return IterationTrace(
-        residuals=residuals,
-        ratios=ratios,
-        status=status,
-        final=x.copy(),
-        iterations=len(residuals),
-        norm_kind=norm_kind,
-        iterates=iterates,
-    )
+    return IterationTrace(residuals, status, x.copy(), norm_kind, iterates)
 
 
-def _start(mapping: Mapping, x0) -> np.ndarray:
-    """``x0`` as a finite float vector of the mapping's dimension."""
-    x = as_vector(x0, name="x0")
-    if x.size != mapping.dim:
-        raise DimensionMismatch(
-            f"mapping of dimension {mapping.dim} iterated from x0 of dimension {x.size}"
+def _as_lam(lam) -> float:
+    """``lam`` as a float; ParameterOutOfRange unless it is a number in (0, 1)."""
+    if not (is_number(lam) and 0.0 < lam < 1.0):
+        raise ParameterOutOfRange(f"lambda must lie in (0, 1), got {lam!r}")
+    return float(lam)
+
+
+def _as_solve_b(b) -> float:
+    """``b`` as a float; ParameterOutOfRange unless it is a finite number > 0."""
+    if not (is_number(b) and 0.0 < b < math.inf):
+        raise ParameterOutOfRange(
+            f"b must be finite and > 0, got {b!r}: with b = 0 the map is merely "
+            "nonexpansive and no contraction factor exists; run krasnoselskij with a "
+            "chosen lambda instead (no convergence guarantee)"
         )
-    return x
+    return float(b)
 
 
 def krasnoselskij(
@@ -224,9 +230,7 @@ def krasnoselskij(
     store_iterates: bool = False,
 ) -> IterationTrace:
     """Iterate x <- (1-lam)*x + lam*mapping(x); exactly Picard on the averaged map."""
-    if not (is_number(lam) and 0.0 < lam < 1.0):
-        raise ParameterOutOfRange(f"lambda must lie in (0, 1), got {lam!r}")
-    return picard(averaged(mapping, lam), x0, stop, norm_kind, store_iterates=store_iterates)
+    return picard(averaged(mapping, _as_lam(lam)), x0, stop, norm_kind, store_iterates=store_iterates)
 
 
 @dataclass
@@ -267,14 +271,8 @@ def solve_modified(
     report is attached; a failed check does not stop the iteration, since the
     sampled check can refute but never certify.
     """
-    if not (is_number(b) and 0.0 < b < math.inf):
-        raise ParameterOutOfRange(
-            f"b must be finite and > 0, got {b!r}: with b = 0 the map is merely "
-            "nonexpansive and no contraction factor exists; run krasnoselskij with a "
-            "chosen lambda instead (no convergence guarantee)"
-        )
-    lam = 1.0 / (float(b) + 1.0)
-    x0 = _start(mapping, x0)  # a bad start fails before the sampled check runs
+    lam = 1.0 / (_as_solve_b(b) + 1.0)
+    x0 = _as_point(mapping, x0, "x0")  # a bad start fails before the sampled check runs
     report = None
     if verify:
         report = verify_condition(
@@ -302,13 +300,12 @@ def apriori_iterations(lam: float, d1: float, eps: float) -> int:
     after n steps the error is at most lam^n/(1-lam) * d1. Returns 0 when
     d1 = 0 (the start is already fixed).
     """
-    if not (is_number(lam) and 0.0 < lam < 1.0):
-        raise ParameterOutOfRange(f"lambda must lie in (0, 1), got {lam!r}")
+    lam = _as_lam(lam)
     if not (is_number(d1) and 0.0 <= d1 < math.inf):
         raise ParameterOutOfRange(f"d1 must be finite and >= 0, got {d1!r}")
     if not (is_number(eps) and eps > 0.0):
         raise ParameterOutOfRange(f"eps must be positive, got {eps!r}")
-    lam, d1, eps = float(lam), float(d1), float(eps)
+    d1, eps = float(d1), float(eps)
     if d1 == 0.0:
         return 0
 
@@ -369,10 +366,14 @@ def write_trace_csv(trace: IterationTrace, path) -> None:
     written with repr (shortest round-trip form), so identical traces produce
     byte-identical files. No cell needs CSV quoting, so the file is built as
     one string, the bytes ``csv.writer`` would write, and written once.
+    Raises IoError when the file cannot be written.
     """
     rows = "".join([
         f"{i},{res!r},{'' if ratio is None else repr(ratio)}\n"
         for i, (res, ratio) in enumerate(zip(trace.residuals, trace.ratios), start=1)
     ])
-    with open(path, "w", newline="") as fh:
-        fh.write("iter,residual,ratio\n" + rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("iter,residual,ratio\n" + rows)
+    except OSError as e:
+        raise IoError(f"cannot write trace CSV {path}: {e}") from e

@@ -110,8 +110,6 @@ class Rotation(Mapping):
 
     def __post_init__(self):
         self.theta = _real(self.theta, "theta")
-        if not math.isfinite(self.theta):
-            raise InvariantViolation("theta: must be finite")
 
     def matrix(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -154,8 +152,6 @@ class LinearCombinationWithIdentity(Mapping):
     def __post_init__(self):
         self.alpha = _real(self.alpha, "alpha")
         self.beta = _real(self.beta, "beta")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise InvariantViolation("alpha: coefficients must be finite")
         if not isinstance(self.base, Mapping):
             raise InvariantViolation("base: expected a Mapping")
         self.dim = self.base.dim
@@ -231,12 +227,19 @@ def _fold(m: Mapping, rule):
 
 def evaluate(mapping: Mapping, x) -> np.ndarray:
     """Apply ``mapping`` to one vector."""
-    x = as_vector(x, name="x")
+    x = _as_point(mapping, x, "x")
+    return _finite(_compile(mapping), x)
+
+
+def _as_point(mapping: Mapping, x, name: str) -> np.ndarray:
+    """``x`` as a finite float vector of the mapping's dimension, through
+    ``as_vector``; DimensionMismatch naming ``name`` when the sizes differ."""
+    x = as_vector(x, name=name)
     if x.size != mapping.dim:
         raise DimensionMismatch(
-            f"mapping of dimension {mapping.dim} applied to vector of dimension {x.size}"
+            f"{name}: dimension {x.size} does not match mapping dimension {mapping.dim}"
         )
-    return _finite(_compile(mapping), x)
+    return x
 
 
 def evaluate_many(mapping: Mapping, xs) -> np.ndarray:
@@ -455,9 +458,12 @@ def scaling_map(factor: float, dim: int = 1) -> Affine:
 
 
 def _real(v, name: str) -> float:
-    """``v`` as a float; InvariantViolation naming the field unless it is a real number."""
+    """``v`` as a float; InvariantViolation naming the field unless it is a
+    finite real number."""
     if not is_number(v):
         raise InvariantViolation(f"{name}: expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise InvariantViolation(f"{name}: must be finite")
     return float(v)
 
 

@@ -86,11 +86,10 @@ def reference_picard(
     x = as_vector(x0, name="x0")
     if x.size != mapping.dim:
         raise DimensionMismatch(
-            f"mapping of dimension {mapping.dim} iterated from x0 of dimension {x.size}"
+            f"x0: dimension {x.size} does not match mapping dimension {mapping.dim}"
         )
 
     residuals: list[float] = []
-    ratios: list[float | None] = []
     iterates: list[np.ndarray] | None = [x.copy()] if store_iterates else None
     status = fp.Status.MAX_ITER_REACHED
     growth_streak = 0
@@ -103,11 +102,7 @@ def reference_picard(
             break
         r = reference_norm(x_next - x, norm_kind)
         if residuals:
-            prev = residuals[-1]
-            ratios.append(r / prev if prev > 0.0 else None)
-            growth_streak = growth_streak + 1 if r > prev else 0
-        else:
-            ratios.append(None)
+            growth_streak = growth_streak + 1 if r > residuals[-1] else 0
         residuals.append(r)
         if iterates is not None:
             iterates.append(x_next.copy())
@@ -124,10 +119,8 @@ def reference_picard(
 
     return fp.IterationTrace(
         residuals=residuals,
-        ratios=ratios,
         status=status,
         final=x,
-        iterations=len(residuals),
         norm_kind=norm_kind,
         iterates=iterates,
     )
@@ -216,7 +209,6 @@ def reference_verify(
         max_ratio=max_ratio,
         witness_x=xs[idx].copy(),
         witness_y=ys[idx].copy(),
-        passed=max_ratio <= 1.0 + slack,
         slack=slack,
     )
 

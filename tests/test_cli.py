@@ -208,10 +208,12 @@ def test_bench_rejects_bad_fields(tmp_path, write_config, capsys):
         ("stop: norm_cap must be finite", {"stop": {"norm_cap": float("inf")}}),
         # An empty family still checks each entry's parameters.
         ("schemes[0]: lambda", {"family": {**family, "count": 0}, "schemes": [{"scheme": "krasnoselskij"}]}),
+        ("schemes[0]: lambda", {"schemes": [{"scheme": "krasnoselskij", "lambda": 1.5}]}),
     ):
         cfg = write_config({"family": family, "schemes": schemes, **bad})
         assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_CONFIG
         assert f"config error: {name}" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()  # refused before the directory is made
 
 
 def test_gen_rejects_bad_fields(tmp_path, write_config, capsys):
@@ -223,16 +225,19 @@ def test_gen_rejects_bad_fields(tmp_path, write_config, capsys):
         cfg = write_config({**doc, name: value})
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG
         assert f"config error: {name}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()  # refused before the directory is made
     # The generator's own range checks name the field too.
     for name, value, message in (
         ("dim", 0, "dim: must be in [1, 64]"),
         ("dim", 65, "dim: must be in [1, 64]"),
         ("singular_values", [0.5], "singular_values: must be a list of length dim=2"),
         ("singular_values", [0.5, -0.25], "singular_values: must be finite and >= 0"),
+        ("singular_values", [1.0, "x"], "singular_values: must be a list of numbers"),
     ):
         cfg = write_config({**doc, name: value})
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
     # gen takes no norm or stop rule, so it offers no flag that would set one.
     cfg = write_config(doc)
     for flag in (["--norm", "l1"], ["--tol", "1e-3"], ["--max-iter", "5"]):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -298,6 +299,14 @@ def test_report_invariants_hold_either_way():
             T_LINE, b, fp.ConditionKind.MODIFIED, rep.witness_x, rep.witness_y
         )
         assert again == pytest.approx(rep.max_ratio, abs=1e-12)
+
+
+def test_report_passed_follows_max_ratio():
+    # ``passed`` is derived, so a changed ratio changes the verdict with it.
+    rep = fp.verify_condition(T_LINE, 3.0, fp.ConditionKind.MODIFIED)
+    assert rep.passed
+    assert dataclasses.replace(rep, max_ratio=2.0).passed is False
+    assert dataclasses.replace(rep, max_ratio=1.0 + rep.slack).passed is True
 
 
 def test_verify_rejects_negative_b():

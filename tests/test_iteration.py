@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -9,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpkit as fp
-from fpkit.errors import DimensionMismatch, InsufficientData, InvariantViolation, ParameterOutOfRange
+from fpkit.errors import (
+    DimensionMismatch,
+    InsufficientData,
+    InvariantViolation,
+    IoError,
+    ParameterOutOfRange,
+)
 from fpkit.iteration import DIVERGENCE_WINDOW
 from fpkit.mappings import collapse
 
@@ -632,11 +637,17 @@ def test_trace_csv_format(tmp_path):
     assert len(lines) == 1 + tr.iterations
 
 
+def test_trace_csv_into_a_missing_directory_is_io_error(tmp_path):
+    tr = fp.picard(fp.scaling_map(0.5), [1.0])
+    with pytest.raises(IoError, match="cannot write trace CSV"):
+        fp.write_trace_csv(tr, tmp_path / "missing" / "trace.csv")
+    assert not (tmp_path / "missing").exists()
+
 
 _CSV_TRACES = {
-    "none-ratios": lambda: dataclasses.replace(
-        fp.picard(fp.scaling_map(0.5), [1.0], fp.StopRule(max_iter=6)),
-        ratios=[None, 0.5, None, 0.5, None, None],
+    # Zero residuals leave the next ratio undefined: empty middle cells.
+    "none-ratios": lambda: fp.IterationTrace(
+        [1.0, 0.0, 0.5, 0.25, 0.0, 0.0], fp.Status.MAX_ITER_REACHED, np.zeros(1), fp.NormKind.L2
     ),
     "identity": lambda: fp.picard(fp.Identity(2), [1.0, 2.0]),
     # The l2 norm of (1e200, -1e200) overflows: the recorded residual is inf.

@@ -328,6 +328,11 @@ def test_non_numeric_fields_are_invariant_violations():
         (lambda: fp.line_map("x", 0), "^slope: expected a number"),
         (lambda: fp.line_map(1.0, None), "^intercept: expected a number"),
         (lambda: fp.scaling_map(None), "^factor: expected a number"),
+        # Non-finite numbers are refused under the field's own name too.
+        (lambda: lincomb(0.5, math.inf, fp.Identity(1)), "^beta: must be finite"),
+        (lambda: fp.line_map(math.inf, 0.0), "^slope: must be finite"),
+        (lambda: fp.line_map(1.0, math.inf), "^intercept: must be finite"),
+        (lambda: fp.scaling_map(math.nan, 2), "^factor: must be finite"),
         (lambda: fp.scaling_map(2.0, "x"), "^dim: must be an integer in"),
         (lambda: fp.scaling_map(2.0, -1), "^dim: must be an integer in"),
         (lambda: fp.evaluate_many(fp.line_map(0.5, 1.0), [["a"]]), "^xs: expected an array of numbers"),
