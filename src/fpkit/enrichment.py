@@ -40,6 +40,7 @@ from .spaces import (
     OPERATOR_NORMS,
     VECTOR_NORMS,
     NormKind,
+    as_float,
     as_matrix,
     as_norm_kind,
     as_vector,
@@ -79,14 +80,14 @@ def _as_condition_kind(kind) -> ConditionKind:
 
 def _as_b(b) -> float:
     """``b`` as a float; ParameterOutOfRange unless it is a finite number >= 0."""
-    if not (is_number(b) and 0.0 <= b < math.inf):
+    if not (is_number(b) and 0.0 <= as_float(b) < math.inf):
         raise ParameterOutOfRange(f"b must be finite and >= 0, got {b!r}")
     return float(b)
 
 
 def _as_slack(slack) -> float:
     """``slack`` as a float; ParameterOutOfRange unless it is a finite number >= 0."""
-    if not (is_number(slack) and 0.0 <= slack < math.inf):
+    if not (is_number(slack) and 0.0 <= as_float(slack) < math.inf):
         raise ParameterOutOfRange(f"slack: must be finite and >= 0, got {slack!r}")
     return float(slack)
 
@@ -164,7 +165,8 @@ class PairSampler:
             raise ParameterOutOfRange("near_pair_fraction must lie in [0, 1]")
         # Uniform draws scale by the box's width 2r, which must be finite, and
         # near pairs by separations from 1e-4 r, which must not round to 0.
-        if not 1e-4 * self.box_radius > 0.0 or not math.isfinite(2.0 * self.box_radius):
+        r = as_float(self.box_radius)
+        if not 1e-4 * r > 0.0 or not math.isfinite(2.0 * r):
             raise ParameterOutOfRange(
                 f"box_radius must keep 1e-4*box_radius > 0 and 2*box_radius finite, "
                 f"got {self.box_radius!r}"

@@ -50,6 +50,7 @@ from .iteration import (
     StopRule,
     _as_lam,
     _as_solve_b,
+    _modified_lam,
     empirical_ratio,
     krasnoselskij,
     picard,
@@ -317,9 +318,13 @@ def canonical_json(doc) -> str:
 
 def config_digest(cfg: ExperimentConfig) -> str:
     """Hex digest identifying the canonicalized config (output_dir excluded)."""
-    doc = config_to_doc(cfg)
-    doc.pop("output_dir")
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    return _digest(config_to_doc(cfg))
+
+
+def _digest(doc: dict) -> str:
+    """Hex digest of a config document, less its output_dir."""
+    rest = {name: v for name, v in doc.items() if name != "output_dir"}
+    return hashlib.sha256(canonical_json(rest).encode()).hexdigest()
 
 
 @dataclass
@@ -404,7 +409,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     deeply for a config document, and IoError when artifacts cannot be
     written.
     """
-    digest = config_digest(cfg)  # refuses a config before any directory exists
+    doc = config_to_doc(cfg)
+    digest = _digest(doc)  # refuses a config before any directory exists
     out = _made(_out_dir(out_dir if out_dir is not None else cfg.output_dir))
     t0 = time.perf_counter()
     status, trace, extras = _dispatch(cfg)
@@ -422,7 +428,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
             summary.fixed_point = trace.final.tolist()
 
     try:
-        (out / "config.json").write_text(canonical_json(config_to_doc(cfg)) + "\n")
+        (out / "config.json").write_text(canonical_json(doc) + "\n")
         if trace is not None:
             write_trace_csv(trace, out / "trace.csv")
         else:
@@ -469,6 +475,8 @@ def generate_affine_family(
         s = np.asarray(singular_values, dtype=float)
     except (TypeError, ValueError):
         raise ParameterOutOfRange("singular_values: must be a list of numbers") from None
+    except OverflowError:  # an integer past the float range
+        raise ParameterOutOfRange("singular_values: must be finite and >= 0") from None
     if s.ndim != 1 or s.size != dim:
         raise ParameterOutOfRange(f"singular_values: must be a list of length dim={dim}")
     if not np.all(np.isfinite(s)) or np.any(s < 0):
@@ -519,6 +527,14 @@ def bench_compare(
     Rows carry status, iteration count and the empirical residual ratio
     (blank when the trace is too short to estimate one). A failure in one
     cell is recorded in that row's status and the sweep continues.
+
+    Cells on one mapping that iterate the same averaged map share one run.
+    This is the paper's identity: ``solve_modified`` with b is Krasnoselskij
+    iteration with lambda = 1/(b+1), so a krasnoselskij cell with that lambda
+    and a solve_modified cell with that b have the same trace and the same
+    row fields. ``_iterated_lam`` takes a solve_modified cell's lambda from
+    ``iteration._modified_lam``, the helper ``solve_modified`` runs with, so
+    the rows are those of running every cell on its own.
     """
     if not isinstance(schemes, list) or not schemes:
         raise ConfigError("schemes: expected a non-empty list")
@@ -546,18 +562,32 @@ def bench_compare(
             label = f"{cfg.scheme.value}[{param}={schemes[j][param]!r}]" if param else "picard"
             cells.append((i, label, cfg))
 
+    runs = {}  # (mapping, lambda of the iterated map) -> its row's result fields
     rows = []
     for i, label, cfg in cells:
-        status, trace, _ = _dispatch(cfg)
-        row = {"mapping": i, "scheme": label, "status": status, "iterations": "", "empirical_ratio": ""}
-        if trace is not None:
-            row["iterations"] = trace.iterations
-            try:
-                row["empirical_ratio"] = empirical_ratio(trace)
-            except InsufficientData:
-                pass
-        rows.append(row)
+        key = (i, _iterated_lam(cfg))
+        if key not in runs:
+            status, trace, _ = _dispatch(cfg)
+            run = runs[key] = {"status": status, "iterations": "", "empirical_ratio": ""}
+            if trace is not None:
+                run["iterations"] = trace.iterations
+                try:
+                    run["empirical_ratio"] = empirical_ratio(trace)
+                except InsufficientData:
+                    pass
+        rows.append({"mapping": i, "scheme": label, **runs[key]})
     return rows
+
+
+def _iterated_lam(cfg: ExperimentConfig) -> float | None:
+    """The lambda of the averaged map that a bench cell iterates: the
+    krasnoselskij lambda, solve_modified's 1/(b+1), or None for picard, which
+    iterates the map itself."""
+    if cfg.scheme is Scheme.KRASNOSELSKIJ:
+        return _as_lam(cfg.lam)
+    if cfg.scheme is Scheme.SOLVE_MODIFIED:
+        return _modified_lam(cfg.b)
+    return None
 
 
 def write_bench_csv(rows: list[dict], path) -> None:

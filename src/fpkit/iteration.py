@@ -30,8 +30,17 @@ from .enrichment import (
     verify_condition,
 )
 from .errors import InsufficientData, IoError, NonFiniteResult, ParameterOutOfRange
-from .mappings import Mapping, _as_point, _compile, collapse, evaluate
-from .spaces import VECTOR_NORMS, NormKind, as_norm_kind, as_vector, is_integer, is_number, norm
+from .mappings import Affine, Mapping, _as_point, _compile, collapse, evaluate
+from .spaces import (
+    VECTOR_NORMS,
+    NormKind,
+    as_float,
+    as_norm_kind,
+    as_vector,
+    is_integer,
+    is_number,
+    norm,
+)
 
 # A run is declared diverged once the residual has grown on this many
 # consecutive steps, ignored during the initial transient.
@@ -66,8 +75,11 @@ class StopRule:
 
     def __post_init__(self):
         for name in ("eps_abs", "eps_rel", "norm_cap"):
-            if not is_number(getattr(self, name)):
-                raise ParameterOutOfRange(f"{name} must be a number, got {getattr(self, name)!r}")
+            v = getattr(self, name)
+            if not is_number(v):
+                raise ParameterOutOfRange(f"{name} must be a number, got {v!r}")
+            if is_integer(v) and math.isinf(as_float(v)):
+                raise ParameterOutOfRange(f"{name} must lie within the float range")
         eps_abs, eps_rel = self.eps_abs, self.eps_rel
         if not (eps_abs >= 0 and eps_rel >= 0) or (eps_abs == 0 and eps_rel == 0):
             raise ParameterOutOfRange("eps_abs/eps_rel must be >= 0 and not both zero")
@@ -132,15 +144,18 @@ def picard(
     the averaged map of an affine T) costs one matrix-vector product per
     step, while a tree with a box projection keeps its shape; either is
     compiled once into a function that applies it without walking the tree
-    again. Steps run in blocks: the compiled map is applied k times
-    back to back, each step writing its image into the next row of one
-    ``(k+1, d)`` array, the block's iterate norms and step norms are taken
-    in one row-norm call each, and the stop rule then walks those floats step
-    by step in the order of a one-step loop. Only the final point and the
-    stored iterates are copied out of that array. Blocks hold 8 steps, then
-    16 and 32, then 64 each, so a short run computes few steps past its stop;
-    those steps are discarded, and arithmetic that overflows in them is
-    silent and leaves no trace.
+    again. A folded map that is a 1-d ``Affine`` x -> a*x + c instead steps
+    in Python floats, ``v = a*v + c``, which rounds the product and then the
+    sum just as the compiled op does, so the bits are the same without a
+    numpy call per step (``_block_filler``). Steps run in blocks: the map
+    is applied k times back to back, each step writing its image into the
+    next row of one ``(k+1, d)`` array, the block's iterate norms and step
+    norms are taken in one row-norm call each, and the stop rule then walks
+    those floats step by step in the order of a one-step loop. Only the
+    final point and the stored iterates are copied out of that array. Blocks
+    hold 8 steps, then 16 and 32, then 64 each, so a short run computes few
+    steps past its stop; those steps are discarded, and arithmetic that
+    overflows in them is silent and leaves no trace.
 
     A finite norm proves every entry finite, so only a step whose norm is
     infinite or NaN tests its entries: non-finite entries end the run
@@ -154,7 +169,7 @@ def picard(
     norm_kind = as_norm_kind(norm_kind)
     row_norms = VECTOR_NORMS[norm_kind]
     x = _as_point(mapping, x0, "x0")
-    step = _compile(collapse(mapping))
+    fill = _block_filler(collapse(mapping))
     eps_abs, eps_rel, norm_cap = stop.eps_abs, stop.eps_rel, stop.norm_cap
 
     residuals: list[float] = []
@@ -171,10 +186,7 @@ def picard(
             size = min(2 * size, _LAST_BLOCK)
             rows = np.empty((k + 1, x.size))
             rows[0] = x
-            y = x
-            for row in rows[1:]:  # each row's view is made as the step needs it
-                step(y, row)
-                y = row
+            fill(rows)
             x_norms = row_norms(rows[1:]).tolist()
             steps = row_norms(rows[1:] - rows[:-1]).tolist()
             before = len(residuals)
@@ -202,6 +214,41 @@ def picard(
     return IterationTrace(residuals, status, x.copy(), norm_kind, iterates)
 
 
+def _block_filler(m: Mapping):
+    """The function that fills rows 1, 2, ... of a block with the images of
+    ``m`` applied in turn from row 0.
+
+    A 1-d ``Affine`` x -> a*x + c steps in Python floats and writes the block
+    once: ``a*v + c`` rounds the product and then the sum, as the compiled
+    op's ``np.add(x.dot(At), c)`` does, so the bits are the same, and Python
+    float ``*`` and ``+`` overflow to inf and NaN without raising, as numpy
+    does under ``errstate``. The compiled op's numpy calls cost 1.3-1.8 us a
+    step on one element, far more than the float arithmetic. Any other map
+    runs its compiled op on each row.
+    """
+    if isinstance(m, Affine) and m.dim == 1:
+        a, c = float(m.matrix[0, 0]), float(m.offset[0])
+
+        def fill_line(rows):
+            v = float(rows[0, 0])
+            col = []
+            for _ in range(len(rows) - 1):
+                v = a * v + c
+                col.append(v)
+            rows[1:, 0] = col
+
+        return fill_line
+    step = _compile(m)
+
+    def fill(rows):
+        y = rows[0]
+        for row in rows[1:]:  # each row's view is made as the step needs it
+            step(y, row)
+            y = row
+
+    return fill
+
+
 def _as_lam(lam) -> float:
     """``lam`` as a float; ParameterOutOfRange unless it is a number in (0, 1)."""
     if not (is_number(lam) and 0.0 < lam < 1.0):
@@ -211,13 +258,19 @@ def _as_lam(lam) -> float:
 
 def _as_solve_b(b) -> float:
     """``b`` as a float; ParameterOutOfRange unless it is a finite number > 0."""
-    if not (is_number(b) and 0.0 < b < math.inf):
+    if not (is_number(b) and 0.0 < as_float(b) < math.inf):
         raise ParameterOutOfRange(
             f"b must be finite and > 0, got {b!r}: with b = 0 the map is merely "
             "nonexpansive and no contraction factor exists; run krasnoselskij with a "
             "chosen lambda instead (no convergence guarantee)"
         )
     return float(b)
+
+
+def _modified_lam(b) -> float:
+    """The weight ``solve_modified`` averages with, lambda = 1/(b+1);
+    ParameterOutOfRange unless ``b`` is a finite number > 0."""
+    return 1.0 / (_as_solve_b(b) + 1.0)
 
 
 def krasnoselskij(
@@ -271,7 +324,7 @@ def solve_modified(
     report is attached; a failed check does not stop the iteration, since the
     sampled check can refute but never certify.
     """
-    lam = 1.0 / (_as_solve_b(b) + 1.0)
+    lam = _modified_lam(b)
     x0 = _as_point(mapping, x0, "x0")  # a bad start fails before the sampled check runs
     report = None
     if verify:
@@ -301,11 +354,11 @@ def apriori_iterations(lam: float, d1: float, eps: float) -> int:
     d1 = 0 (the start is already fixed).
     """
     lam = _as_lam(lam)
-    if not (is_number(d1) and 0.0 <= d1 < math.inf):
+    if not (is_number(d1) and 0.0 <= as_float(d1) < math.inf):
         raise ParameterOutOfRange(f"d1 must be finite and >= 0, got {d1!r}")
     if not (is_number(eps) and eps > 0.0):
         raise ParameterOutOfRange(f"eps must be positive, got {eps!r}")
-    d1, eps = float(d1), float(eps)
+    d1, eps = float(d1), as_float(eps)
     if d1 == 0.0:
         return 0
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NonFiniteResult, SchemaError
-from .spaces import DIM_CAP, as_matrix, as_vector, is_integer, is_number
+from .spaces import DIM_CAP, as_float, as_matrix, as_vector, is_integer, is_number
 
 
 class Mapping:
@@ -252,6 +252,8 @@ def evaluate_many(mapping: Mapping, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
     except (TypeError, ValueError):
         raise InvariantViolation("xs: expected an array of numbers") from None
+    except OverflowError:  # an integer past the float range
+        raise InvariantViolation("xs: entries must be finite") from None
     if xs.ndim != 2 or xs.shape[1] != mapping.dim:
         raise DimensionMismatch(
             f"mapping of dimension {mapping.dim} applied to batch of shape {xs.shape}"
@@ -462,9 +464,16 @@ def _real(v, name: str) -> float:
     finite real number."""
     if not is_number(v):
         raise InvariantViolation(f"{name}: expected a number, got {v!r}")
-    if not math.isfinite(v):
+    return _finite_float(v, name)
+
+
+def _finite_float(v, name: str) -> float:
+    """The real number ``v`` as a float; InvariantViolation naming the field
+    unless it is finite, which an integer past the float range is not."""
+    f = as_float(v)
+    if not math.isfinite(f):
         raise InvariantViolation(f"{name}: must be finite")
-    return float(v)
+    return f
 
 
 # --- JSON layout ------------------------------------------------------------
@@ -528,9 +537,7 @@ def _parse(doc, path: str) -> Mapping:
 def _num(v, path: str) -> float:
     if not is_number(v):
         raise SchemaError(f"{path}: expected a number")
-    if not math.isfinite(v):
-        raise InvariantViolation(f"{path}: must be finite")
-    return float(v)
+    return _finite_float(v, path)
 
 
 def _int(v, path: str) -> int:

@@ -53,12 +53,25 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def as_float(v) -> float:
+    """The real number ``v`` as a float. ``float`` raises OverflowError on an
+    integer or fraction past the float range, such as a 400-digit JSON
+    integer; here that reads as an infinity of its sign, so a check for a
+    finite value refuses it as it refuses inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def as_vector(x, *, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array, validating shape and entries."""
     try:
         v = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise InvariantViolation(f"{name}: expected an array of numbers") from None
+    except OverflowError:  # an integer past the float range
+        raise InvariantViolation(f"{name}: entries must be finite") from None
     if v.ndim != 1 or v.size == 0:
         raise InvariantViolation(f"{name}: expected a non-empty 1-D array, got shape {v.shape}")
     if v.size > DIM_CAP:
@@ -74,6 +87,8 @@ def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
         a = np.asarray(m, dtype=float)
     except (TypeError, ValueError):
         raise InvariantViolation(f"{name}: expected an array of numbers") from None
+    except OverflowError:  # an integer past the float range
+        raise InvariantViolation(f"{name}: entries must be finite") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvariantViolation(f"{name}: expected a non-empty square matrix, got shape {a.shape}")
     if a.shape[0] > DIM_CAP:

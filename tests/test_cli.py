@@ -246,6 +246,29 @@ def test_gen_rejects_bad_fields(tmp_path, write_config, capsys):
     capsys.readouterr()
 
 
+def test_integers_past_the_float_range_are_config_errors(tmp_path, write_config, capsys):
+    # JSON integers have no size limit, and float() refuses a 400-digit one
+    # with OverflowError. Each field names itself and exits 2, with no
+    # traceback and no output directory.
+    big = 10**400
+    plane = {"kind": "rotation", "theta": big}
+    for command, doc, message in (
+        ("solve", {"mapping": DEMO_MAPPING, "b": big, "x0": [0.0]}, "b: must be finite"),
+        ("solve", {"mapping": plane, "b": 3.0, "x0": [0.0, 0.0]},
+         "mapping: $.theta: must be finite"),
+        ("solve", {"mapping": DEMO_MAPPING, "b": 3.0, "x0": [0.0], "stop": {"eps_abs": big}},
+         "stop: eps_abs must lie within the float range"),
+        ("solve", {"mapping": DEMO_MAPPING, "b": 3.0, "x0": [big]}, "x0: entries must be finite"),
+        ("verify", {"mapping": DEMO_MAPPING, "b": -big, "kind": "modified"}, "b: must be finite"),
+        ("gen", {"dim": 1, "singular_values": [big], "count": 1},
+         "singular_values: must be finite and >= 0"),
+    ):
+        cfg = write_config(doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
 def test_bench_x0_mismatch_names_the_map(tmp_path, write_config, capsys):
     plane = {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, 1.0]}
     cfg = write_config({"family": [DEMO_MAPPING, plane], "schemes": [{"scheme": "picard"}], "x0": [0.0]})

@@ -1,12 +1,21 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import fpkit as fp
-from fpkit.errors import ConfigError
-from fpkit.harness import _dispatch, _family_json, canonical_json, run_bench, run_gen
+from fpkit.errors import ConfigError, InsufficientData
+from fpkit.harness import (
+    ExperimentConfig,
+    Scheme,
+    _dispatch,
+    _family_json,
+    canonical_json,
+    run_bench,
+    run_gen,
+)
 
 DEMO_DOC = {
     "mapping": {"kind": "affine", "matrix": [[-2.0]], "offset": [100.0]},
@@ -95,6 +104,28 @@ def test_config_digest_ignores_output_dir(tmp_path):
     b = demo_config(output_dir=str(tmp_path / "b"))
     assert fp.config_digest(a) == fp.config_digest(b)
     assert fp.config_digest(a) != fp.config_digest(demo_config(b=2.5))
+
+
+def test_config_json_and_digest_are_those_of_the_whole_document(tmp_path):
+    # run_experiment builds the document once for both the digest and
+    # config.json; the bytes must be json.dumps of the whole document, and the
+    # digest that of the document less output_dir.
+    deep = {"kind": "affine", "matrix": [[0.5]], "offset": [1.0]}
+    for _ in range(50):
+        deep = {"kind": "lincomb", "alpha": 0.5, "beta": 0.5, "base": deep}
+    plane = {"kind": "affine", "matrix": [[0.5, -1e-300], [2.0**70, 0.1]], "offset": [-0.0, 3.0]}
+    for extra in ({}, {"output_dir": "somewhere"}, {"mapping": deep, "store_iterates": True},
+                  {"mapping": plane, "x0": [1.0, 2.0], "verify": True, "slack": 0,
+                   "sampler": {"count": 100, "seed": 3}, "stop": {"eps_abs": 1, "max_iter": 7}},
+                  {"mapping": plane, "scheme": "min_b", "kind": "enriched", "norm": "l1"}):
+        cfg = demo_config(**extra)
+        doc = fp.config_to_doc(cfg)
+        summary = fp.run_experiment(cfg, tmp_path / "run")
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        assert (tmp_path / "run" / "config.json").read_text() == text + "\n"
+        doc.pop("output_dir")
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        assert summary.digest == fp.config_digest(cfg) == hashlib.sha256(text.encode()).hexdigest()
 
 
 # --- run_experiment ---
@@ -308,6 +339,68 @@ def test_bench_mixed_schemes_and_labels():
     )
     labels = {row["scheme"] for row in rows}
     assert labels == {"picard", "krasnoselskij[lambda=0.5]", "solve_modified[b=1.0]"}
+
+
+# Family 0's lambda equals 1/(b+1), so its two averaged cells iterate one
+# map; family 1's differs (1/(3+1) = 0.25, not 0.2).
+SHARED_SCHEMES = [{"scheme": "picard"}, {"scheme": "krasnoselskij", "lambda": 0.25},
+                  {"scheme": "solve_modified", "b": 3.0}]
+APART_SCHEMES = [{"scheme": "picard"}, {"scheme": "krasnoselskij", "lambda": 0.2},
+                 {"scheme": "solve_modified", "b": 3.0}]
+
+
+def _bench_family():
+    """Maps on which the schemes end differently: picard diverges on some."""
+    return (fp.generate_affine_family(11, 2, [1.8, 0.9], 3)
+            + fp.generate_affine_family(12, 1, [0.6], 2)
+            + [fp.Composition((fp.Rotation(2.0), fp.BoxProjection([-1.0, -1.0], [2.0, 0.5])))])
+
+
+def _cell_by_itself(mapping, i, entry) -> dict:
+    """The row of one bench cell, dispatched on its own."""
+    cfg = ExperimentConfig(mapping, Scheme(entry["scheme"]), b=entry.get("b"),
+                           lam=entry.get("lambda"), x0=np.zeros(mapping.dim))
+    status, trace, _ = _dispatch(cfg)
+    try:
+        ratio = fp.empirical_ratio(trace)
+    except InsufficientData:
+        ratio = ""
+    label = {"picard": "picard", "krasnoselskij": f"krasnoselskij[lambda={entry.get('lambda')!r}]",
+             "solve_modified": f"solve_modified[b={entry.get('b')!r}]"}[entry["scheme"]]
+    return {"mapping": i, "scheme": label, "status": status, "iterations": trace.iterations,
+            "empirical_ratio": ratio}
+
+
+@pytest.mark.parametrize("schemes", [SHARED_SCHEMES, APART_SCHEMES])
+def test_bench_rows_are_those_of_each_cell_run_on_its_own(schemes):
+    family = _bench_family()
+    rows = fp.bench_compare(family, schemes)
+    want = [_cell_by_itself(m, i, s) for i, m in enumerate(family) for s in schemes]
+    assert [json.dumps(r) for r in rows] == [json.dumps(r) for r in want]  # float bits too
+    assert {r["status"] for r in rows} >= {"converged", "diverged"}
+
+
+@pytest.mark.parametrize("schemes, runs_per_map", [(SHARED_SCHEMES, 2), (APART_SCHEMES, 3)])
+def test_bench_cells_on_one_averaged_map_share_a_run(monkeypatch, schemes, runs_per_map):
+    # krasnoselskij with lambda = 1/(b+1) is solve_modified with b: one run
+    # serves both cells of a map.
+    calls = []
+    picard = fp.iteration.picard
+
+    def counted(mapping, *args, **kwargs):
+        calls.append(mapping)
+        return picard(mapping, *args, **kwargs)
+
+    monkeypatch.setattr(fp.iteration, "picard", counted)
+    monkeypatch.setattr(fp.harness, "picard", counted)
+    family = _bench_family()
+    rows = fp.bench_compare(family, schemes)
+    assert len(rows) == 3 * len(family)
+    assert len(calls) == runs_per_map * len(family)
+    if runs_per_map == 2:
+        fields = ("status", "iterations", "empirical_ratio")
+        for kras, modified in zip(rows[1::3], rows[2::3]):
+            assert [kras[k] for k in fields] == [modified[k] for k in fields]
 
 
 def test_bench_csv_output(tmp_path):

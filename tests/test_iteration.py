@@ -296,6 +296,88 @@ def test_picard_unrecorded_non_finite_step_on_block_edges(n):
     assert_picard_matches_reference(m, x0, stop)
 
 
+# 1-d affine maps step in Python floats (iteration._block_filler); their
+# traces must be the reference loop's, whose steps are numpy calls.
+TINY_SLOPE, TINY_OFFSET = 5e-324, -2.5e-320  # subnormal
+
+
+def test_picard_steps_1d_affine_maps_without_the_compiled_op(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"compiled {m!r}")
+
+    monkeypatch.setattr(fp.iteration, "_compile", refuse)
+    assert fp.picard(fp.line_map(0.5, 1.0), [0.0]).status is fp.Status.CONVERGED
+    # The averaged map folds to one 1-d Affine too.
+    assert fp.solve_modified(T_LINE, 3.0, [0.0]).trace.status is fp.Status.CONVERGED
+    with pytest.raises(AssertionError, match="compiled"):
+        fp.picard(fp.Identity(1), [0.0])  # not an Affine: the compiled op
+
+
+@pytest.mark.parametrize("max_iter", [1, 7, 9, 100])
+def test_picard_1d_affine_matches_the_reference_mid_block(max_iter):
+    # max_iter 7 and 100 end inside a block, 1 and 9 on a block's first step.
+    stop = fp.StopRule(eps_abs=TINY, max_iter=max_iter)
+    for m, x0 in (
+        (fp.line_map(-1.0, 0.5), [2.0]),  # x, 0.5 - x, x, ...: never settles
+        (fp.line_map(1.0, 0.25), [-3.0]),  # a translation
+        (fp.line_map(0.999, 1.0), [0.0]),  # slow contraction
+        (fp.line_map(-1.0000001, 3.0), [1.0]),  # slow growth in alternating sign
+        (fp.line_map(0.5, -0.0), [1.0]),
+        (fp.line_map(-0.5, 0.0), [-0.0]),
+        (fp.line_map(TINY_SLOPE, 1.0), [1e300]),
+        (fp.line_map(0.5, TINY_OFFSET), [1.0]),
+    ):
+        tr = fp.picard(m, x0, stop)
+        assert tr.iterations <= max_iter
+        assert_picard_matches_reference(m, x0, stop)
+    for kind in ALL_KINDS:
+        tr = fp.picard(fp.line_map(-1.0, 0.5), [2.0], stop, kind)
+        assert tr.status is fp.Status.MAX_ITER_REACHED and tr.iterations == max_iter
+
+
+def test_picard_1d_affine_signed_zeros_and_subnormals_match_the_reference():
+    # a*v + c rounds as numpy's dot then add: -0.0 + -0.0 stays -0.0, and
+    # -0.0 + 0.0 is 0.0. Subnormal slopes and offsets round to their own
+    # bits; every stored iterate is compared byte for byte. The residuals
+    # here are subnormal too, where spaces._l2 rescales and the reference's
+    # np.linalg.norm reads 0, so the grid runs in l1 and linf.
+    cases = [(a, c, x0) for a in (0.5, -0.5, 0.0, -0.0, TINY_SLOPE, -TINY_SLOPE)
+             for c in (0.0, -0.0, TINY_OFFSET, -TINY_OFFSET) for x0 in (0.0, -0.0, 3e-320)]
+    for a, c, x0 in cases:
+        m = fp.line_map(a, c)
+        for stop in (fp.StopRule(), fp.StopRule(eps_abs=TINY, max_iter=20)):
+            for kind in (fp.NormKind.L1, fp.NormKind.LINF):
+                for store in (False, True):
+                    want = reference_picard(m, [x0], stop, kind, store_iterates=store)
+                    assert_same_trace(fp.picard(m, [x0], stop, kind, store_iterates=store), want)
+    for c, sign in ((-0.0, -1.0), (0.0, 1.0)):
+        tr = fp.picard(fp.line_map(-0.5, c), [0.0], store_iterates=True)
+        assert tr.residuals == [0.0]
+        assert [math.copysign(1.0, x[0]) for x in tr.iterates] == [1.0, sign]
+
+
+def test_picard_1d_affine_overflow_ends_diverged_unrecorded():
+    # Doubling from 2^1020 with no norm cap: three recorded steps, then the
+    # fourth overflows to inf and ends the run unrecorded. The block goes on
+    # to inf, inf, ..., whose steps inf - inf are NaN; they are discarded
+    # without a warning.
+    m = fp.line_map(2.0, 1.0)
+    stop = fp.StopRule(norm_cap=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ALL_KINDS:
+            for store in (False, True):
+                tr = fp.picard(m, [2.0**1020], stop, kind, store_iterates=store)
+                assert tr.status is fp.Status.DIVERGED and tr.iterations == 3
+                assert tr.final.tolist() == [2.0**1023]
+        # From near 1e308 the first step overflows: nothing is recorded.
+        tr = fp.picard(fp.line_map(-1e10, 0.0), [1.5e308], stop, store_iterates=True)
+        assert tr.status is fp.Status.DIVERGED and tr.iterations == 0
+        assert tr.final.tolist() == [1.5e308] and len(tr.iterates) == 1
+    assert_picard_matches_reference(m, [2.0**1020], stop)
+    assert_picard_matches_reference(fp.line_map(-1e10, 0.0), [1.5e308], stop)
+
+
 def test_picard_discards_overflowing_steps_past_the_stop_quietly():
     # The norm cap ends the run at step 1 (1e100), but picard has already
     # computed the rest of the block: 1e200, 1e300, then inf. Those steps and
@@ -573,6 +655,25 @@ def test_scalar_parameters_that_are_not_numbers_are_typed_errors(bad):
             call()
     with pytest.raises(ParameterOutOfRange, match="tol must be a number >= 0"):
         fp.check_fixed_point(T_LINE, [0.0], float("nan"))
+
+
+def test_integers_past_the_float_range_are_typed_errors():
+    # float() raises OverflowError on these; each check refuses them as it
+    # refuses inf.
+    big = 10**400
+    for call, match in (
+        (lambda: fp.solve_modified(T_LINE, big, [0.0]), "b must be finite and > 0"),
+        (lambda: fp.apriori_iterations(0.5, big, 1e-3), "d1 must be finite"),
+        (lambda: fp.StopRule(eps_abs=big), "eps_abs must lie within the float range"),
+        (lambda: fp.StopRule(eps_rel=-big), "eps_rel must lie within the float range"),
+        (lambda: fp.StopRule(norm_cap=big), "norm_cap must lie within the float range"),
+        (lambda: fp.verify_condition(T_LINE, big, fp.ConditionKind.MODIFIED), "b must be finite"),
+        (lambda: fp.PairSampler(box_radius=big), "box_radius must keep"),
+    ):
+        with pytest.raises(ParameterOutOfRange, match=match):
+            call()
+    # An eps past the float range reads as inf: any start meets it at once.
+    assert fp.apriori_iterations(0.5, 1.0, big) == 0
 
 
 @given(

@@ -337,6 +337,15 @@ def test_non_numeric_fields_are_invariant_violations():
         (lambda: fp.scaling_map(2.0, -1), "^dim: must be an integer in"),
         (lambda: fp.evaluate_many(fp.line_map(0.5, 1.0), [["a"]]), "^xs: expected an array of numbers"),
         (lambda: fp.evaluate_many(fp.Identity(2), [[0.0, 1.0], [math.nan, 1.0]]), "^xs: entries must be finite"),
+        # So are integers past the float range, on which float() raises
+        # OverflowError.
+        (lambda: fp.line_map(10**400, 0.0), "^slope: must be finite"),
+        (lambda: lincomb(-(10**400), 1.0, fp.Identity(1)), "^alpha: must be finite"),
+        (lambda: fp.Affine([[10**400]], [0.0]), "^matrix: entries must be finite"),
+        (lambda: fp.Affine([[1.0]], [10**400]), "^offset: entries must be finite"),
+        (lambda: fp.evaluate(fp.Identity(1), [10**400]), "^x: entries must be finite"),
+        (lambda: fp.evaluate_many(fp.Identity(1), [[10**400]]), "^xs: entries must be finite"),
+        (lambda: fp.parse_mapping({"kind": "rotation", "theta": 10**400}), r"^\$\.theta: must be finite"),
     ):
         with pytest.raises(InvariantViolation, match=match):
             call()
