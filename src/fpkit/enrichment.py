@@ -57,6 +57,12 @@ DEFAULT_SLACK = 1e-9
 # occurs in a sample.
 MIN_SEPARATION = 1e-14
 
+# The most pairs one sampler draws. A check draws its near pairs whole, as
+# two float64 arrays of count * near_pair_fraction rows: at the default
+# fraction 0.2 and d = DIM_CAP that is 0.2 * count * 64 * 16 bytes, about
+# 205 MB at this cap (five times that at fraction 1).
+PAIR_COUNT_CAP = 10**6
+
 # Pairs are drawn and scored in row blocks of about this many entries (256 KiB
 # of float64), so each block's buffers and temporaries stay in cache and are
 # reused instead of faulting in fresh pages. A budget rather than a row count
@@ -136,13 +142,14 @@ def _fill_uniform(rng: np.random.Generator, out: np.ndarray, r: float) -> None:
 class PairSampler:
     """Deterministic sampler of vector pairs for condition checks.
 
-    Draws ``count`` pairs inside the box [-box_radius, box_radius]^d. A
-    ``near_pair_fraction`` share are near pairs with separation in
-    [1e-4, 1e-3] * box_radius (log-uniform), which stresses the ratio at
-    small distances while staying above the scale where subtraction rounding
-    would pollute the quotient. The remainder are independent uniform draws;
-    any pair closer than MIN_SEPARATION * box_radius is rejected and redrawn,
-    so x = y never occurs. The stream is a pure function of ``seed``.
+    Draws ``count`` pairs, at most PAIR_COUNT_CAP, inside the box
+    [-box_radius, box_radius]^d. A ``near_pair_fraction`` share are near
+    pairs with separation in [1e-4, 1e-3] * box_radius (log-uniform), which
+    stresses the ratio at small distances while staying above the scale
+    where subtraction rounding would pollute the quotient. The remainder are
+    independent uniform draws; any pair closer than MIN_SEPARATION *
+    box_radius is rejected and redrawn, so x = y never occurs. The stream is
+    a pure function of ``seed``.
     """
 
     seed: int = 42
@@ -155,8 +162,10 @@ class PairSampler:
         # document can encode.
         if not is_integer(self.seed) or self.seed < 0:
             raise ParameterOutOfRange(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not is_integer(self.count) or self.count < 1:
-            raise ParameterOutOfRange(f"count must be an integer >= 1, got {self.count!r}")
+        if not is_integer(self.count) or not 1 <= self.count <= PAIR_COUNT_CAP:
+            raise ParameterOutOfRange(
+                f"count must be an integer in [1, {PAIR_COUNT_CAP}], got {self.count!r}"
+            )
         self.seed, self.count = int(self.seed), int(self.count)
         for name in ("box_radius", "near_pair_fraction"):
             if not is_number(getattr(self, name)):

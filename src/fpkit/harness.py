@@ -452,6 +452,12 @@ def _null_non_finite(v):
     return v
 
 
+# The most maps one family holds. At DIM_CAP each map's matrix is
+# 64 * 64 * 8 bytes, so a family at this cap holds about 33 MB of matrices,
+# and ``gen`` writes each map as about 125 KB of JSON text.
+FAMILY_COUNT_CAP = 1000
+
+
 def generate_affine_family(
     seed: int, dim: int, singular_values, count: int
 ) -> list[Affine]:
@@ -460,7 +466,8 @@ def generate_affine_family(
     Each map is U diag(s) V^T with U, V drawn as QR factors of Gaussian
     matrices (signs fixed to make the factorization unambiguous) and an
     offset uniform in [-10, 10]^dim. Deterministic per seed. ``seed``,
-    ``dim`` and ``count`` must be integers (bools are not).
+    ``dim`` and ``count`` must be integers (bools are not), and ``count`` at
+    most FAMILY_COUNT_CAP; every argument is checked before the first draw.
     """
     for name, v in (("seed", seed), ("dim", dim), ("count", count)):
         if not is_integer(v):
@@ -469,8 +476,8 @@ def generate_affine_family(
         raise ParameterOutOfRange("seed: must be >= 0")
     if not 1 <= dim <= DIM_CAP:
         raise ParameterOutOfRange(f"dim: must be in [1, {DIM_CAP}]")
-    if count < 0:
-        raise ParameterOutOfRange("count: must be >= 0")
+    if not 0 <= count <= FAMILY_COUNT_CAP:
+        raise ParameterOutOfRange(f"count: must be in [0, {FAMILY_COUNT_CAP}]")
     try:
         s = np.asarray(singular_values, dtype=float)
     except (TypeError, ValueError):

@@ -48,11 +48,18 @@ DIVERGENCE_WINDOW = 20
 DIVERGENCE_GRACE = 50
 
 # picard applies the mapping in blocks of steps back to back and takes each
-# block's norms in one call per quantity. Blocks start short, so that a run
-# that stops early computes few steps past its stop, and double up to the
-# longest.
+# block's norms in one call per quantity. The first block is short, so that a
+# run that stops early computes few steps past its stop; each later block is
+# sized from the run so far (_next_block), up to the longest.
 _FIRST_BLOCK = 8
 _LAST_BLOCK = 64
+# A shrinking run's rate is the geometric mean over its last _RATE_WINDOW
+# residuals, and the steps it predicts to the stop tolerance are stretched by
+# _MARGIN and _MARGIN_STEPS, so that a rate that slows a little still ends
+# within the block.
+_RATE_WINDOW = 8
+_MARGIN = 1.1
+_MARGIN_STEPS = 2
 
 # Residuals at or below this are rounding noise; ratio diagnostics skip them.
 RESIDUAL_NOISE_FLOOR = 100.0 * float(np.finfo(float).eps)
@@ -149,13 +156,20 @@ def picard(
     sum just as the compiled op does, so the bits are the same without a
     numpy call per step (``_block_filler``). Steps run in blocks: the map
     is applied k times back to back, each step writing its image into the
-    next row of one ``(k+1, d)`` array, the block's iterate norms and step
-    norms are taken in one row-norm call each, and the stop rule then walks
-    those floats step by step in the order of a one-step loop. Only the
-    final point and the stored iterates are copied out of that array. Blocks
-    hold 8 steps, then 16 and 32, then 64 each, so a short run computes few
-    steps past its stop; those steps are discarded, and arithmetic that
-    overflows in them is silent and leaves no trace.
+    next row of one ``(2k+1, d)`` array whose last k rows then take the
+    steps, the block's iterate norms and step norms are taken in one
+    row-norm call, and the stop rule then walks those floats step by step in
+    the order of a one-step loop. Only the final point and the stored
+    iterates are copied out of that array. The first block holds 8 steps;
+    each later one is sized from the run so far (``_next_block``): the steps
+    that the recent rate of shrinking residuals predicts to the stop
+    tolerance, plus a margin, or the steps until the divergence rule fires
+    while the residual has grown through the block, or else twice the last
+    block, at most 64 and at most what ``max_iter`` leaves. Steps past the
+    stop are discarded, and arithmetic that overflows in them is silent and
+    leaves no trace. Block sizes cannot change a trace: each step is still
+    computed from the row before it by the same op, and the stop rule walks
+    the steps in order, so only the block edges move.
 
     A finite norm proves every entry finite, so only a step whose norm is
     infinite or NaN tests its entries: non-finite entries end the run
@@ -177,18 +191,21 @@ def picard(
     status = Status.MAX_ITER_REACHED
     growth_streak = 0
     prev = math.inf  # no step grows on the first
-    left, size = stop.max_iter, _FIRST_BLOCK
+    left, k = stop.max_iter, _FIRST_BLOCK
 
     with np.errstate(over="ignore", invalid="ignore"):
-        while left and status is Status.MAX_ITER_REACHED:
-            k = min(size, left)
+        while True:
+            k = min(k, left)
             left -= k
-            size = min(2 * size, _LAST_BLOCK)
-            rows = np.empty((k + 1, x.size))
+            # rows 0..k: the block's start and its steps' images; rows k+1..2k:
+            # the steps, so one row-norm call takes both kinds of norm.
+            buf = np.empty((2 * k + 1, x.size))
+            rows = buf[:k + 1]
             rows[0] = x
             fill(rows)
-            x_norms = row_norms(rows[1:]).tolist()
-            steps = row_norms(rows[1:] - rows[:-1]).tolist()
+            np.subtract(rows[1:], rows[:-1], out=buf[k + 1:])
+            norms = row_norms(buf[1:]).tolist()
+            x_norms, steps = norms[:k], norms[k:]
             before = len(residuals)
             for i, (x_norm, r) in enumerate(zip(x_norms, steps), 1):
                 if not math.isfinite(x_norm) and not np.isfinite(rows[i]).all():
@@ -210,8 +227,37 @@ def picard(
             x = rows[done]
             if iterates is not None:
                 iterates += [row.copy() for row in rows[1:done + 1]]
+            if not left or status is not Status.MAX_ITER_REACHED:
+                break
+            k = _next_block(residuals, growth_streak, eps_abs + eps_rel * x_norm, k)
 
     return IterationTrace(residuals, status, x.copy(), norm_kind, iterates)
+
+
+def _next_block(residuals: list[float], growth_streak: int, tol: float, size: int) -> int:
+    """The number of steps, 1 to _LAST_BLOCK, that picard's next block
+    computes, after a block of ``size`` steps that ended with the run going on.
+
+    ``tol`` is the stop tolerance at the last step, eps_abs + eps_rel*||x||.
+    While the residuals shrink, the guess is the steps to ``tol`` at the
+    geometric rate of the last _RATE_WINDOW residuals, stretched by the
+    margin. While the growth streak runs, through the whole block, it is the
+    steps after which the divergence rule fires if the streak runs on. When
+    both hold, the fewer steps are taken; when neither does, the block
+    doubles. A guess only moves a block edge: too short costs one more block,
+    too long computes steps that are discarded.
+    """
+    n = len(residuals)
+    guesses = []
+    if growth_streak >= min(size, n - 1):  # a run's first step cannot grow
+        guesses.append(max(DIVERGENCE_GRACE + 1 - n, DIVERGENCE_WINDOW - growth_streak))
+    first, last = residuals[max(0, n - _RATE_WINDOW)], residuals[-1]
+    if 0.0 < last < first < math.inf and tol > 0.0:  # tol < last, or the run had stopped
+        per_step = (math.log(first) - math.log(last)) / (min(n, _RATE_WINDOW) - 1)
+        steps = (math.log(last) - math.log(tol)) / per_step
+        guesses.append(math.ceil(_MARGIN * min(steps, _LAST_BLOCK)) + _MARGIN_STEPS)
+    k = min(guesses) if guesses else 2 * size
+    return max(1, min(k, _LAST_BLOCK))
 
 
 def _block_filler(m: Mapping):
@@ -334,7 +380,8 @@ def solve_modified(
     trace = krasnoselskij(mapping, lam, x0, stop, norm_kind, store_iterates=store_iterates)
     try:
         with np.errstate(over="ignore"):  # an overflowed l2 norm reads inf
-            residual_T = norm(evaluate(mapping, trace.final) - trace.final, norm_kind)
+            step = evaluate(mapping, trace.final) - trace.final
+            residual_T = float(VECTOR_NORMS[trace.norm_kind](step[None, :])[0])
     except NonFiniteResult:
         residual_T = float("inf")
     return SolveResult(

@@ -266,7 +266,7 @@ def evaluate_many(mapping: Mapping, xs) -> np.ndarray:
 def _finite(f, x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         y = f(x)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteResult("mapping evaluation overflowed to a non-finite vector")
     return y
 
@@ -393,8 +393,10 @@ def as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
     affine-representable base, and compositions of affine-representable
     stages. Box projections have no affine form. A fold that overflows
     returns its inf and nan entries without a numpy warning; callers check
-    the form for finiteness.
+    the form for finiteness. The arrays returned are the caller's own.
     """
+    if isinstance(m, Affine):  # the only tree whose fold would be its leaf's arrays
+        return m.matrix.copy(), m.offset.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         return _fold(m, _affine_form)
 
@@ -405,7 +407,7 @@ def _affine_form(node: Mapping, kids: list) -> tuple[np.ndarray, np.ndarray] | N
         case Identity(dim=d):
             return np.eye(d), np.zeros(d)
         case Affine(matrix=A, offset=c):
-            return A.copy(), c.copy()
+            return A, c  # the rules above a leaf read it and build new arrays
         case Rotation():
             return node.matrix(), np.zeros(2)
         case BoxProjection():
@@ -434,16 +436,23 @@ def collapse(m: Mapping) -> Mapping:
     one per node, and its last bits may differ from the tree's. A tree with a
     box projection anywhere, or whose fold overflows, is returned unchanged:
     no affine part of it is folded on its own.
+
+    The fold's arrays are float64, square and of the tree's dimension by
+    construction, so of ``Affine``'s checks only finiteness is left; it is
+    tested as ``as_matrix`` and ``as_vector`` test it, and the arrays are
+    not converted again.
     """
     if isinstance(m, (Affine, Identity)):
         return m
     form = as_affine(m)
     if form is None:
         return m
-    try:
-        return Affine(*form)  # refuses non-finite entries
-    except InvariantViolation:
+    A, c = form
+    if not (np.isfinite(A).all() and np.isfinite(c).all()):  # the fold overflowed
         return m
+    folded = object.__new__(Affine)
+    folded.matrix, folded.offset = A, c
+    return folded
 
 
 def line_map(slope: float, intercept: float) -> Affine:

@@ -76,7 +76,7 @@ def as_vector(x, *, name: str = "vector") -> np.ndarray:
         raise InvariantViolation(f"{name}: expected a non-empty 1-D array, got shape {v.shape}")
     if v.size > DIM_CAP:
         raise InvariantViolation(f"{name}: dimension {v.size} exceeds cap {DIM_CAP}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvariantViolation(f"{name}: entries must be finite")
     return v
 
@@ -93,7 +93,7 @@ def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
         raise InvariantViolation(f"{name}: expected a non-empty square matrix, got shape {a.shape}")
     if a.shape[0] > DIM_CAP:
         raise InvariantViolation(f"{name}: dimension {a.shape[0]} exceeds cap {DIM_CAP}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvariantViolation(f"{name}: entries must be finite")
     return a
 

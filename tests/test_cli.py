@@ -6,6 +6,7 @@ import pytest
 
 from fpkit import harness
 from fpkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEME_FAILURE, main
+from fpkit.enrichment import PAIR_COUNT_CAP
 
 DEMO_MAPPING = {"kind": "affine", "matrix": [[-2.0]], "offset": [100.0]}
 
@@ -266,6 +267,33 @@ def test_integers_past_the_float_range_are_config_errors(tmp_path, write_config,
         cfg = write_config(doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
+def test_counts_past_their_caps_are_config_errors(tmp_path, write_config, capsys):
+    # A sampler count or a family count past its cap exits 2 before any
+    # pair or map is drawn, with no traceback and no output directory.
+    big = 10**400
+    family = {"dim": 1, "singular_values": [0.5], "seed": 5}
+    over_pairs = PAIR_COUNT_CAP + 1
+    over_maps = harness.FAMILY_COUNT_CAP + 1
+    for command, doc, message in (
+        ("verify", {"mapping": DEMO_MAPPING, "b": 3.0, "kind": "enriched",
+                    "sampler": {"count": big}}, "sampler: count must be an integer in [1, "),
+        ("verify", {"mapping": DEMO_MAPPING, "b": 3.0, "kind": "enriched",
+                    "sampler": {"count": over_pairs}}, f"got {over_pairs}"),
+        ("solve", {"mapping": DEMO_MAPPING, "b": 3.0, "x0": [0.0], "verify": True,
+                   "sampler": {"count": big}}, "sampler: count must be an integer in [1, "),
+        ("gen", {**family, "count": big}, f"count: must be in [0, {harness.FAMILY_COUNT_CAP}]"),
+        ("gen", {**family, "count": over_maps}, f"count: must be in [0, {harness.FAMILY_COUNT_CAP}]"),
+        ("bench", {"family": {**family, "count": big}, "schemes": [{"scheme": "picard"}]},
+         f"family.count: must be in [0, {harness.FAMILY_COUNT_CAP}]"),
+    ):
+        cfg = write_config(doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
 

@@ -153,6 +153,12 @@ def test_sampler_validation():
         with pytest.raises(ParameterOutOfRange, match="box_radius"):
             fp.PairSampler(box_radius=r)
     fp.PairSampler(box_radius=8e307)
+    # The count is capped by the memory of the near pairs, which a check
+    # draws whole; a sampler at the cap is made but not drawn here.
+    assert fp.PairSampler(count=enrichment.PAIR_COUNT_CAP).count == enrichment.PAIR_COUNT_CAP
+    for count in (enrichment.PAIR_COUNT_CAP + 1, 10**400):
+        with pytest.raises(ParameterOutOfRange, match="^count must be an integer in"):
+            fp.PairSampler(count=count)
     for dim in (2.5, 0, True):
         with pytest.raises(ParameterOutOfRange, match="dim"):
             fp.PairSampler().draw(dim)

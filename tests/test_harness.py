@@ -8,6 +8,7 @@ import pytest
 import fpkit as fp
 from fpkit.errors import ConfigError, InsufficientData
 from fpkit.harness import (
+    FAMILY_COUNT_CAP,
     ExperimentConfig,
     Scheme,
     _dispatch,
@@ -240,6 +241,20 @@ def test_family_validation():
     with pytest.raises(fp.ParameterOutOfRange):
         fp.generate_affine_family(1, 2, [1.0, 1.0], -1)
     assert fp.generate_affine_family(1, 2, [1.0, 1.0], 0) == []
+
+
+def test_family_count_past_its_cap_is_refused_before_any_draw(monkeypatch):
+    # A count past FAMILY_COUNT_CAP would loop in _random_orthogonal while
+    # memory grows; it is refused before the first draw.
+    def refuse(rng, dim):
+        raise AssertionError("drew a map")
+
+    monkeypatch.setattr(fp.harness, "_random_orthogonal", refuse)
+    for count in (FAMILY_COUNT_CAP + 1, 10**400):
+        with pytest.raises(fp.ParameterOutOfRange, match=rf"^count: must be in \[0, {FAMILY_COUNT_CAP}\]"):
+            fp.generate_affine_family(1, 2, [1.0, 1.0], count)
+    monkeypatch.undo()
+    assert len(fp.generate_affine_family(1, 1, [0.5], FAMILY_COUNT_CAP)) == FAMILY_COUNT_CAP
 
 
 def test_family_rejects_fields_that_are_not_integers():

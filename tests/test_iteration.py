@@ -190,10 +190,12 @@ def test_collapsed_traces_stay_close_to_the_tree(kind):
                 assert gap <= 1e-12 * np.linalg.norm(want.final), name
 
 
-# picard runs its steps in blocks of 8, 16, 32, then 64: the first steps of
-# blocks are 1, 9, 25, 57, 121 and the last 8, 24, 56, 120, 184. A stop on
-# either edge of a block, or a max_iter at either side of one, must give the
-# reference loop's trace.
+# picard's first block holds 8 steps, so it ends on step 8 and the next
+# block starts on step 9. Later blocks are sized from the run so far, up to
+# 64 steps: a run whose residuals neither shrink nor grow, such as a
+# translation's, doubles to blocks of 16, 32 and 64, which end on steps 24,
+# 56, 120 and 184; other runs move those edges. A stop on either side of any
+# of these steps, or a max_iter there, must give the reference loop's trace.
 BLOCK_EDGES = (1, 8, 9, 24, 25, 56, 57, 120, 121)
 ALL_KINDS = (fp.NormKind.L1, fp.NormKind.L2, fp.NormKind.LINF)
 TINY = 1e-300  # an eps_abs that no residual below reaches
@@ -294,6 +296,90 @@ def test_picard_unrecorded_non_finite_step_on_block_edges(n):
     tr = fp.picard(m, x0, stop)
     assert tr.status is fp.Status.DIVERGED and tr.iterations == n - 1
     assert_picard_matches_reference(m, x0, stop)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    top=st.floats(0.2, 1.6),
+    scaled_rotation=st.booleans(),
+    boxed=st.booleans(),
+    scheme=st.sampled_from(["picard", "krasnoselskij", "solve_modified"]),
+    field=st.sampled_from(["eps_abs", "norm_cap", "max_iter"]),
+    at=st.floats(0.0, 1.0),
+    kind=st.sampled_from(ALL_KINDS),
+    store=st.booleans(),
+)
+def test_block_sizes_never_change_a_trace(seed, d, top, scaled_rotation, boxed, scheme, field,
+                                         at, kind, store):
+    # Block sizes follow the run (shrinking, growing or neither residuals),
+    # and the stop rule is taken from the reference run of the same map, so
+    # a stop can land on any step: the trace is still the one-step loop's.
+    # A scaled rotation top*Q makes l2 residuals shrink or grow at every
+    # step, so that runs reach the growth streak's rule too.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    if scaled_rotation:
+        A = np.linalg.qr(A)[0]
+    m = fp.Affine(A * (top / np.linalg.norm(A, 2)), rng.uniform(-5.0, 5.0, d))
+    if boxed:
+        m = fp.Composition((m, fp.BoxProjection(np.full(d, -4.0), np.full(d, 4.0))))
+    x0 = rng.uniform(-10.0, 10.0, d)
+    lam, b = 0.25, 1.0
+    iterated = {"picard": m, "krasnoselskij": fp.averaged(m, lam),
+                "solve_modified": fp.averaged(m, 1.0 / (b + 1.0))}[scheme]
+    loose = fp.StopRule(eps_abs=TINY, max_iter=300, norm_cap=math.inf)
+    full = quiet_reference(collapse(iterated), x0, loose, kind, store_iterates=True)
+    n = 1 + int(at * (full.iterations - 1))
+    if field == "eps_abs":
+        stop = fp.StopRule(eps_abs=max(full.residuals[n - 1], TINY), max_iter=300)
+    elif field == "norm_cap":
+        below, above = (reference_norm(x, kind) for x in full.iterates[n - 1:n + 1])
+        stop = fp.StopRule(eps_abs=TINY, norm_cap=max((below + above) / 2.0, TINY), max_iter=300)
+    else:
+        stop = fp.StopRule(eps_abs=TINY, max_iter=n, norm_cap=math.inf)
+    want = quiet_reference(collapse(iterated), x0, stop, kind, store_iterates=store)
+    if scheme == "picard":
+        got = fp.picard(m, x0, stop, kind, store_iterates=store)
+    elif scheme == "krasnoselskij":
+        got = fp.krasnoselskij(m, lam, x0, stop, kind, store_iterates=store)
+    else:
+        got = fp.solve_modified(m, b, x0, stop, kind, store_iterates=store).trace
+    assert_same_trace(got, want)
+
+
+def test_picard_discards_few_steps_past_its_stop(monkeypatch):
+    # A run computes its steps in blocks and discards those past its stop.
+    # Once residuals shrink at a steady rate, the last block is the steps
+    # that rate predicts to the tolerance, r <= 64 of them, stretched to
+    # ceil(1.1 r) + 2: at most ceil(6.4) + 2 = 9 steps are discarded.
+    filled = []
+    block_filler = fp.iteration._block_filler
+
+    def counting(m):
+        fill = block_filler(m)
+
+        def fill_and_count(rows):
+            filled.append(len(rows) - 1)
+            fill(rows)
+
+        return fill_and_count
+
+    monkeypatch.setattr(fp.iteration, "_block_filler", counting)
+    A = fp.generate_affine_family(31, 3, [0.9, 0.7, 0.4], 1)[0].matrix
+    # The fixed point lies inside the box, which clamps the first steps.
+    box = fp.Composition((fp.Affine(A, [0.1, -0.2, 0.3]),
+                          fp.BoxProjection(np.full(3, -2.0), np.full(3, 2.0))))
+    cases = [(fp.scaling_map(0.5, 3), [1.0, -3.0, 2.0], (1e-9, 1e-20, 1e-30, 1e-40, 1e-50)),
+             (box, [30.0, -20.0, 10.0], (1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14))]
+    for m, x0, tolerances in cases:
+        for eps_abs in tolerances:
+            for kind in ALL_KINDS:
+                filled.clear()
+                tr = fp.picard(m, x0, fp.StopRule(eps_abs=eps_abs), kind)
+                assert tr.status is fp.Status.CONVERGED and 30 <= tr.iterations <= 200, eps_abs
+                assert sum(filled) - tr.iterations <= 9, (m, eps_abs, kind, filled)
 
 
 # 1-d affine maps step in Python floats (iteration._block_filler); their
