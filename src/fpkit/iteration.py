@@ -241,7 +241,7 @@ def _next_block(residuals: list[float], growth_streak: int, tol: float, size: in
     ``tol`` is the stop tolerance at the last step, eps_abs + eps_rel*||x||.
     While the residuals shrink, the guess is the steps to ``tol`` at the
     geometric rate of the last _RATE_WINDOW residuals, stretched by the
-    margin. While the growth streak runs, through the whole block, it is the
+    margin; residuals too close for their logs to differ give no rate. While the growth streak runs, through the whole block, it is the
     steps after which the divergence rule fires if the streak runs on. When
     both hold, the fewer steps are taken; when neither does, the block
     doubles. A guess only moves a block edge: too short costs one more block,
@@ -254,8 +254,10 @@ def _next_block(residuals: list[float], growth_streak: int, tol: float, size: in
     first, last = residuals[max(0, n - _RATE_WINDOW)], residuals[-1]
     if 0.0 < last < first < math.inf and tol > 0.0:  # tol < last, or the run had stopped
         per_step = (math.log(first) - math.log(last)) / (min(n, _RATE_WINDOW) - 1)
-        steps = (math.log(last) - math.log(tol)) / per_step
-        guesses.append(math.ceil(_MARGIN * min(steps, _LAST_BLOCK)) + _MARGIN_STEPS)
+        # Residuals a few ulps apart, as on an isometry, can have equal logs.
+        if per_step > 0.0:
+            steps = (math.log(last) - math.log(tol)) / per_step
+            guesses.append(math.ceil(_MARGIN * min(steps, _LAST_BLOCK)) + _MARGIN_STEPS)
     k = min(guesses) if guesses else 2 * size
     return max(1, min(k, _LAST_BLOCK))
 
@@ -380,8 +382,7 @@ def solve_modified(
     trace = krasnoselskij(mapping, lam, x0, stop, norm_kind, store_iterates=store_iterates)
     try:
         with np.errstate(over="ignore"):  # an overflowed l2 norm reads inf
-            step = evaluate(mapping, trace.final) - trace.final
-            residual_T = float(VECTOR_NORMS[trace.norm_kind](step[None, :])[0])
+            residual_T = norm(evaluate(mapping, trace.final) - trace.final, norm_kind)
     except NonFiniteResult:
         residual_T = float("inf")
     return SolveResult(

@@ -437,22 +437,18 @@ def collapse(m: Mapping) -> Mapping:
     box projection anywhere, or whose fold overflows, is returned unchanged:
     no affine part of it is folded on its own.
 
-    The fold's arrays are float64, square and of the tree's dimension by
-    construction, so of ``Affine``'s checks only finiteness is left; it is
-    tested as ``as_matrix`` and ``as_vector`` test it, and the arrays are
-    not converted again.
+    The fold's arrays are float64 and its own, so ``Affine`` takes them
+    without a copy.
     """
     if isinstance(m, (Affine, Identity)):
         return m
     form = as_affine(m)
     if form is None:
         return m
-    A, c = form
-    if not (np.isfinite(A).all() and np.isfinite(c).all()):  # the fold overflowed
+    try:
+        return Affine(*form)  # refuses non-finite entries
+    except InvariantViolation:
         return m
-    folded = object.__new__(Affine)
-    folded.matrix, folded.offset = A, c
-    return folded
 
 
 def line_map(slope: float, intercept: float) -> Affine:

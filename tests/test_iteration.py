@@ -244,6 +244,26 @@ def test_picard_max_iter_at_block_edges_matches_the_reference():
             assert_picard_matches_reference(m, x0, stop)
 
 
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.0])
+def test_picard_far_from_a_rotations_fixed_point_runs_to_max_iter(theta):
+    # Plain Picard does not converge on an isometry: at radius 1000 the l2
+    # residual stays at 2000 sin(theta/2) up to a few ulps, so a residual
+    # that shrinks by an ulp can have the same log as the one before, and the
+    # block sizing has no rate to go by.
+    m, x0 = fp.Rotation(theta), np.array([1000.0, 0.0])
+    stop = fp.StopRule(max_iter=10_000)
+    assert fp.picard(m, x0, stop).status is fp.Status.MAX_ITER_REACHED
+    for kind in ALL_KINDS:
+        assert_same_trace(fp.picard(m, x0, stop, kind), quiet_reference(m, x0, stop, kind))
+
+
+def test_block_sizing_with_no_rate_in_the_logs_doubles():
+    # The residuals shrink, by one ulp, but their logs are equal.
+    residuals = [141.0] * 7 + [math.nextafter(141.0, 0.0)]
+    assert math.log(residuals[0]) == math.log(residuals[-1])
+    assert fp.iteration._next_block(residuals, 0, 1e-9, 16) == 32
+
+
 def _stop_at(m, x0, kind, n, field):
     """A stop rule whose ``field`` ends the reference run of ``m`` at step n."""
     trace = quiet_reference(m, x0, fp.StopRule(eps_abs=TINY, max_iter=n + 1, norm_cap=math.inf),
