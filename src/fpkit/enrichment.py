@@ -37,6 +37,7 @@ from .errors import InvariantViolation, ParameterOutOfRange
 from .mappings import LinearCombinationWithIdentity, Mapping, _compile, _finite, evaluate_many
 from .spaces import (
     _L2_SCALE,
+    DIM_CAP,
     OPERATOR_NORMS,
     VECTOR_NORMS,
     NormKind,
@@ -182,15 +183,16 @@ class PairSampler:
             )
 
     def draw(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (xs, ys), each of shape (count, dim); near pairs come first.
+        """Return (xs, ys), each of shape (count, dim), with ``dim`` at most
+        DIM_CAP; near pairs come first.
 
         The materialized form of the block stream that ``verify_condition``
         scores as it goes: each block is copied into its rows, so the bits
         are those of plain ``rng.uniform`` and ``rng.standard_normal`` draws
         of the whole sample.
         """
-        if not is_integer(dim) or dim < 1:
-            raise ParameterOutOfRange(f"dim must be an integer >= 1, got {dim!r}")
+        if not is_integer(dim) or not 1 <= dim <= DIM_CAP:
+            raise ParameterOutOfRange(f"dim must be an integer in [1, {DIM_CAP}], got {dim!r}")
         xs = np.empty((self.count, dim))
         ys = np.empty((self.count, dim))
         for rows, x, y, _, _ in _PairStream(self, dim).blocks():

@@ -36,7 +36,6 @@ from .spaces import (
     NormKind,
     as_float,
     as_norm_kind,
-    as_vector,
     is_integer,
     is_number,
     norm,
@@ -163,13 +162,12 @@ def picard(
     iterates are copied out of that array. The first block holds 8 steps;
     each later one is sized from the run so far (``_next_block``): the steps
     that the recent rate of shrinking residuals predicts to the stop
-    tolerance, plus a margin, or the steps until the divergence rule fires
-    while the residual has grown through the block, or else twice the last
-    block, at most 64 and at most what ``max_iter`` leaves. Steps past the
-    stop are discarded, and arithmetic that overflows in them is silent and
-    leaves no trace. Block sizes cannot change a trace: each step is still
-    computed from the row before it by the same op, and the stop rule walks
-    the steps in order, so only the block edges move.
+    tolerance, plus a margin, or else twice the last block, at most 64 and
+    at most what ``max_iter`` leaves. Steps past the stop are discarded, and
+    arithmetic that overflows in them is silent and leaves no trace. Block
+    sizes cannot change a trace: each step is still computed from the row
+    before it by the same op, and the stop rule walks the steps in order, so
+    only the block edges move.
 
     A finite norm proves every entry finite, so only a step whose norm is
     infinite or NaN tests its entries: non-finite entries end the run
@@ -229,36 +227,31 @@ def picard(
                 iterates += [row.copy() for row in rows[1:done + 1]]
             if not left or status is not Status.MAX_ITER_REACHED:
                 break
-            k = _next_block(residuals, growth_streak, eps_abs + eps_rel * x_norm, k)
+            k = _next_block(residuals, eps_abs + eps_rel * x_norm, k)
 
     return IterationTrace(residuals, status, x.copy(), norm_kind, iterates)
 
 
-def _next_block(residuals: list[float], growth_streak: int, tol: float, size: int) -> int:
+def _next_block(residuals: list[float], tol: float, size: int) -> int:
     """The number of steps, 1 to _LAST_BLOCK, that picard's next block
     computes, after a block of ``size`` steps that ended with the run going on.
 
     ``tol`` is the stop tolerance at the last step, eps_abs + eps_rel*||x||.
     While the residuals shrink, the guess is the steps to ``tol`` at the
     geometric rate of the last _RATE_WINDOW residuals, stretched by the
-    margin; residuals too close for their logs to differ give no rate. While the growth streak runs, through the whole block, it is the
-    steps after which the divergence rule fires if the streak runs on. When
-    both hold, the fewer steps are taken; when neither does, the block
-    doubles. A guess only moves a block edge: too short costs one more block,
-    too long computes steps that are discarded.
+    margin; residuals too close for their logs to differ give no rate.
+    Without a rate the block doubles. A guess only moves a block edge: too
+    short costs one more block, too long computes steps that are discarded.
     """
     n = len(residuals)
-    guesses = []
-    if growth_streak >= min(size, n - 1):  # a run's first step cannot grow
-        guesses.append(max(DIVERGENCE_GRACE + 1 - n, DIVERGENCE_WINDOW - growth_streak))
     first, last = residuals[max(0, n - _RATE_WINDOW)], residuals[-1]
+    k = 2 * size
     if 0.0 < last < first < math.inf and tol > 0.0:  # tol < last, or the run had stopped
         per_step = (math.log(first) - math.log(last)) / (min(n, _RATE_WINDOW) - 1)
         # Residuals a few ulps apart, as on an isometry, can have equal logs.
         if per_step > 0.0:
             steps = (math.log(last) - math.log(tol)) / per_step
-            guesses.append(math.ceil(_MARGIN * min(steps, _LAST_BLOCK)) + _MARGIN_STEPS)
-    k = min(guesses) if guesses else 2 * size
+            k = math.ceil(_MARGIN * min(steps, _LAST_BLOCK)) + _MARGIN_STEPS
     return max(1, min(k, _LAST_BLOCK))
 
 
@@ -268,9 +261,9 @@ def _block_filler(m: Mapping):
 
     A 1-d ``Affine`` x -> a*x + c steps in Python floats and writes the block
     once: ``a*v + c`` rounds the product and then the sum, as the compiled
-    op's ``np.add(x.dot(At), c)`` does, so the bits are the same, and Python
-    float ``*`` and ``+`` overflow to inf and NaN without raising, as numpy
-    does under ``errstate``. The compiled op's numpy calls cost 1.3-1.8 us a
+    op's ``x.dot(At)`` and in-place ``+= c`` do, so the bits are the same,
+    and Python float ``*`` and ``+`` overflow to inf and NaN without
+    raising, as numpy does under ``errstate``. The compiled op's numpy calls cost 1.3-1.8 us a
     step on one element, far more than the float arithmetic. Any other map
     runs its compiled op on each row.
     """
@@ -367,19 +360,19 @@ def solve_modified(
     Uses lambda = 1/(b+1), the value that turns the condition into a Banach
     contraction bound with factor lambda. Requires b > 0: at b = 0 the
     condition only says the map is nonexpansive and the contraction guarantee
-    (and uniqueness) evaporates. ``x0`` and its dimension are validated
-    first. With ``verify=True`` the sampled condition check runs next and its
-    report is attached; a failed check does not stop the iteration, since the
-    sampled check can refute but never certify.
+    (and uniqueness) evaporates. The iteration runs first, so ``picard``'s
+    check of ``x0`` and its dimension refuses a bad start before the sampled
+    check runs. With ``verify=True`` that check runs next and its report is
+    attached; a failed check does not change the result, since the sampled
+    check can refute but never certify.
     """
     lam = _modified_lam(b)
-    x0 = _as_point(mapping, x0, "x0")  # a bad start fails before the sampled check runs
+    trace = krasnoselskij(mapping, lam, x0, stop, norm_kind, store_iterates=store_iterates)
     report = None
     if verify:
         report = verify_condition(
             mapping, b, ConditionKind.MODIFIED, sampler, slack=slack, norm_kind=norm_kind
         )
-    trace = krasnoselskij(mapping, lam, x0, stop, norm_kind, store_iterates=store_iterates)
     try:
         with np.errstate(over="ignore"):  # an overflowed l2 norm reads inf
             residual_T = norm(evaluate(mapping, trace.final) - trace.final, norm_kind)
@@ -433,8 +426,9 @@ def check_fixed_point(
     """
     if not (is_number(tol) and tol >= 0.0):
         raise ParameterOutOfRange(f"tol must be a number >= 0, got {tol!r}")
-    x = as_vector(x, name="x")
-    residual = norm(evaluate(mapping, x) - x, norm_kind)
+    # evaluate refuses a bad x. The step subtracts the float64 x it saw: a
+    # list of Decimals converts to one but does not subtract from an array.
+    residual = norm(evaluate(mapping, x) - np.asarray(x, dtype=float), norm_kind)
     return residual <= tol, residual
 
 

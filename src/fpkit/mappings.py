@@ -15,11 +15,11 @@ of a linear combination, the stages of a composition. Each node fixes its
 ``dim`` when it is built. Every other job that walks a tree is a rule over
 one walk: ``_postorder`` lists the nodes children first with an explicit
 stack, and ``_fold`` applies a rule at each node to its children's values.
-So evaluation, ``as_affine``, ``collapse``, ``serialize_mapping`` and ``==``
-take trees of any depth. ``_KINDS`` holds each kind's JSON layout once, and
-parsing, serialization and ``==`` read it. Only the parser recurses, one
-frame per level, and it reports a document nested past Python's recursion
-limit as a SchemaError.
+So evaluation, ``as_affine``, ``collapse``, ``serialize_mapping``, ``==``
+and ``repr`` take trees of any depth. ``_KINDS`` holds each kind's JSON
+layout once, and parsing, serialization and ``==`` read it. Only the parser
+recurses, one frame per level, and it reports a document nested past
+Python's recursion limit as a SchemaError.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NonFiniteResult, SchemaError
-from .spaces import DIM_CAP, as_float, as_matrix, as_vector, is_integer, is_number
+from .spaces import DIM_CAP, _float_array, as_float, as_matrix, as_vector, is_integer, is_number
 
 
 class Mapping:
@@ -54,31 +54,8 @@ class Mapping:
     __hash__ = None  # mutable-ish payloads; not meant for dict keys
 
     def __repr__(self):
-        # The dataclass form, e.g. ``Composition(stages=(Identity(dim=1),))``,
-        # from an explicit-stack walk: a node expands into tokens, its
-        # children among them, and the tokens are joined once.
-        out, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            tokens = [f"{type(item).__name__}("]
-            for i, f in enumerate(fields(item)):
-                v = getattr(item, f.name)
-                tokens.append(f"{', ' if i else ''}{f.name}=")
-                if isinstance(v, Mapping):
-                    tokens.append(v)
-                elif isinstance(v, tuple):
-                    tokens.append("(")
-                    for j, stage in enumerate(v):
-                        tokens += [", ", stage] if j else [stage]
-                    tokens.append(",)" if len(v) == 1 else ")")
-                else:
-                    tokens.append(repr(v))
-            tokens.append(")")
-            stack.extend(reversed(tokens))
-        return "".join(out)
+        # The dataclass form, e.g. ``Composition(stages=(Identity(dim=1),))``.
+        return "".join(_fold(self, _repr_tokens))
 
 
 @dataclass(eq=False, repr=False)
@@ -225,6 +202,33 @@ def _fold(m: Mapping, rule):
     return values[0]
 
 
+def _repr_tokens(node: Mapping, kids: list) -> deque:
+    """``__repr__``'s rule: the node's dataclass form as a deque of strings.
+
+    The first child's deque is extended in place at both ends, as
+    ``_program`` extends its first child's ops, so a chain of any depth
+    costs time in proportion to its length.
+    """
+    tokens = [f"{type(node).__name__}("]  # with None where a child goes
+    for i, f in enumerate(fields(node)):
+        v = getattr(node, f.name)
+        tokens.append(f"{', ' if i else ''}{f.name}=")
+        if isinstance(v, tuple):
+            tokens += ["(", *[None, ", "] * len(v)]
+            tokens[-1] = ",)" if len(v) == 1 else ")"
+        else:
+            tokens.append(None if isinstance(v, Mapping) else repr(v))
+    tokens.append(")")
+    if not kids:
+        return deque(tokens)
+    cut = tokens.index(None)
+    out, rest = kids[0], iter(kids[1:])
+    out.extendleft(reversed(tokens[:cut]))
+    for t in tokens[cut + 1:]:
+        out.extend(next(rest) if t is None else (t,))
+    return out
+
+
 def evaluate(mapping: Mapping, x) -> np.ndarray:
     """Apply ``mapping`` to one vector."""
     x = _as_point(mapping, x, "x")
@@ -248,12 +252,7 @@ def evaluate_many(mapping: Mapping, xs) -> np.ndarray:
     A batch that is not an array of finite numbers is an InvariantViolation
     naming ``xs``, as ``as_vector`` names ``x`` for ``evaluate``.
     """
-    try:
-        xs = np.asarray(xs, dtype=float)
-    except (TypeError, ValueError):
-        raise InvariantViolation("xs: expected an array of numbers") from None
-    except OverflowError:  # an integer past the float range
-        raise InvariantViolation("xs: entries must be finite") from None
+    xs = _float_array(xs, "xs")
     if xs.ndim != 2 or xs.shape[1] != mapping.dim:
         raise DimensionMismatch(
             f"mapping of dimension {mapping.dim} applied to batch of shape {xs.shape}"
@@ -357,14 +356,11 @@ def _copy(x, out=None):
 
 
 def _affine(At: np.ndarray, c: np.ndarray):
-    """The op ``x -> x.dot(At) + c``. In 1-d the sum is written to ``out``
-    directly; in higher dimensions ``dot`` writes there and ``c`` is added
-    in place. Each form is the faster one where it is used: the in-place
-    form costs about 1 us more per 1-d step, and the other about 0.13-0.3
-    us more per step at d = 2 to 64 (``BENCH_14.json``,
-    ``affine_leaf_forms``)."""
-    if c.size == 1:
-        return lambda x, out=None: np.add(x.dot(At), c, out)
+    """The op ``x -> x.dot(At) + c``: ``dot`` writes to ``out`` and ``c`` is
+    added in place, at every d. Writing the sum to ``out`` with ``np.add``
+    costs about 0.13-0.3 us more per step at d = 2 to 64 (``BENCH_14.json``,
+    ``affine_leaf_forms``); a 1-d ``Affine`` that picard iterates steps in
+    Python floats instead (``iteration._block_filler``)."""
 
     def affine(x, out=None):
         y = x.dot(At, out)

@@ -64,14 +64,24 @@ def as_float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def as_vector(x, *, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array, validating shape and entries."""
+def _float_array(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array, without a copy when it is one already.
+
+    InvariantViolation naming ``name`` when ``x`` is not an array of numbers,
+    or holds an integer past the float range, on which numpy raises
+    OverflowError. Entries are not checked for finiteness.
+    """
     try:
-        v = np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise InvariantViolation(f"{name}: expected an array of numbers") from None
-    except OverflowError:  # an integer past the float range
+    except OverflowError:
         raise InvariantViolation(f"{name}: entries must be finite") from None
+
+
+def as_vector(x, *, name: str = "vector") -> np.ndarray:
+    """Coerce to a finite 1-D float64 array, validating shape and entries."""
+    v = _float_array(x, name)
     if v.ndim != 1 or v.size == 0:
         raise InvariantViolation(f"{name}: expected a non-empty 1-D array, got shape {v.shape}")
     if v.size > DIM_CAP:
@@ -83,12 +93,7 @@ def as_vector(x, *, name: str = "vector") -> np.ndarray:
 
 def as_matrix(m, *, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square float64 matrix."""
-    try:
-        a = np.asarray(m, dtype=float)
-    except (TypeError, ValueError):
-        raise InvariantViolation(f"{name}: expected an array of numbers") from None
-    except OverflowError:  # an integer past the float range
-        raise InvariantViolation(f"{name}: entries must be finite") from None
+    a = _float_array(m, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvariantViolation(f"{name}: expected a non-empty square matrix, got shape {a.shape}")
     if a.shape[0] > DIM_CAP:
@@ -131,14 +136,12 @@ VECTOR_NORMS = {NormKind.L1: _l1, NormKind.L2: _l2, NormKind.LINF: _linf}
 def norm(v, kind: NormKind = NormKind.L2) -> float:
     """Vector norm of the requested kind. Zero exactly on the zero vector.
 
-    An empty vector, or one that is not an array of numbers, is an
-    InvariantViolation, as in ``as_vector``.
+    An empty vector, one that is not an array of numbers, and one that holds
+    an integer past the float range are InvariantViolations, as in
+    ``as_vector``. Infinite and NaN floats are not refused.
     """
     kernel = VECTOR_NORMS[as_norm_kind(kind)]
-    try:
-        v = np.asarray(v, dtype=float).ravel(order="K")
-    except (TypeError, ValueError):
-        raise InvariantViolation("vector: expected an array of numbers") from None
+    v = _float_array(v, "vector").ravel(order="K")
     if v.size == 0:
         raise InvariantViolation("vector: expected a non-empty array")
     return float(kernel(v[None, :])[0])

@@ -159,7 +159,7 @@ def test_sampler_validation():
     for count in (enrichment.PAIR_COUNT_CAP + 1, 10**400):
         with pytest.raises(ParameterOutOfRange, match="^count must be an integer in"):
             fp.PairSampler(count=count)
-    for dim in (2.5, 0, True):
+    for dim in (2.5, 0, True, fp.DIM_CAP + 1, 10**400):
         with pytest.raises(ParameterOutOfRange, match="dim"):
             fp.PairSampler().draw(dim)
 

@@ -261,7 +261,7 @@ def test_block_sizing_with_no_rate_in_the_logs_doubles():
     # The residuals shrink, by one ulp, but their logs are equal.
     residuals = [141.0] * 7 + [math.nextafter(141.0, 0.0)]
     assert math.log(residuals[0]) == math.log(residuals[-1])
-    assert fp.iteration._next_block(residuals, 0, 1e-9, 16) == 32
+    assert fp.iteration._next_block(residuals, 1e-9, 16) == 32
 
 
 def _stop_at(m, x0, kind, n, field):

@@ -345,6 +345,7 @@ def test_non_numeric_fields_are_invariant_violations():
         (lambda: fp.Affine([[1.0]], [10**400]), "^offset: entries must be finite"),
         (lambda: fp.evaluate(fp.Identity(1), [10**400]), "^x: entries must be finite"),
         (lambda: fp.evaluate_many(fp.Identity(1), [[10**400]]), "^xs: entries must be finite"),
+        (lambda: fp.norm([10**400]), "^vector: entries must be finite"),
         (lambda: fp.parse_mapping({"kind": "rotation", "theta": 10**400}), r"^\$\.theta: must be finite"),
     ):
         with pytest.raises(InvariantViolation, match=match):
