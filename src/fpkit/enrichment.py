@@ -29,12 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
 from .errors import InvariantViolation, ParameterOutOfRange
-from .mappings import LinearCombinationWithIdentity, Mapping, _compile, _finite, evaluate_many
+from .mappings import LinearCombinationWithIdentity, Mapping, _as_point, _compile, _finite
 from .spaces import (
     _L2_SCALE,
     DIM_CAP,
@@ -44,7 +43,6 @@ from .spaces import (
     as_float,
     as_matrix,
     as_norm_kind,
-    as_vector,
     is_integer,
     is_number,
 )
@@ -412,16 +410,22 @@ def condition_ratio(
 ) -> float:
     """||b(x-y) + Tx - Ty|| divided by the condition's right-hand side.
 
-    Raises ParameterOutOfRange for a b that is not a finite number >= 0, and
+    The pair is one row for ``_score``, applied through the compiled
+    mapping: the path on which ``verify_condition`` scores its blocks, so a
+    report's witness pair reproduces its ``max_ratio``.
+
+    Raises ParameterOutOfRange for a b that is not a finite number >= 0;
     InvariantViolation for an x or y that is not a finite vector, or for
-    x = y, where the ratio is undefined.
+    x = y, where the ratio is undefined; DimensionMismatch naming x or y when
+    its size is not the mapping's; and NonFiniteResult when the mapping
+    overflows at x or y.
     """
     b = _as_b(b)
     kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
-    x, y = as_vector(x, name="x"), as_vector(y, name="y")
+    x, y = _as_point(mapping, x, "x"), _as_point(mapping, y, "y")
     if np.array_equal(x, y):
         raise InvariantViolation("x and y must differ: the ratio is undefined at x = y")
-    apply = partial(evaluate_many, mapping)
+    apply = _compile(mapping)
     ratios = _score(apply, b, _factor(b, kind), norm_kind, *_with_distances(x[None], y[None]))
     return float(ratios[0])
 

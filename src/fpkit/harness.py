@@ -13,7 +13,6 @@ through one scheme dispatch, ``_dispatch``.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -51,11 +50,12 @@ from .iteration import (
     _as_lam,
     _as_solve_b,
     _modified_lam,
+    _trace_csv,
+    _write_artifact,
     empirical_ratio,
     krasnoselskij,
     picard,
     solve_modified,
-    write_trace_csv,
 )
 from .mappings import Affine, Mapping, _as_point, _num, as_affine, parse_mapping, serialize_mapping
 from .spaces import DIM_CAP, NormKind, as_vector, is_integer
@@ -400,14 +400,18 @@ def _made(out: Path) -> Path:
     return out
 
 
+# The files of a run directory, keyed as in RunSummary.artifacts.
+_RUN_FILES = {"config": "config.json", "trace": "trace.csv", "summary": "summary.json"}
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     """Execute one configured run and persist its artifacts.
 
     Scheme-level failures (divergence, a refuted condition, no feasible b)
     land in the summary's status; they are results, not exceptions. Raises
     ConfigError when no output directory is given or the mapping nests too
-    deeply for a config document, and IoError when artifacts cannot be
-    written.
+    deeply for a config document, and IoError naming the artifact and its
+    path when one cannot be written.
     """
     doc = config_to_doc(cfg)
     digest = _digest(doc)  # refuses a config before any directory exists
@@ -419,7 +423,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
         scheme=cfg.scheme,
         status=status,
         wall_time=time.perf_counter() - t0,
-        artifacts={"config": "config.json", "trace": "trace.csv", "summary": "summary.json"},
+        artifacts=dict(_RUN_FILES),
         **extras,
     )
     if trace is not None:
@@ -427,17 +431,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
         if summary.fixed_point is None:
             summary.fixed_point = trace.final.tolist()
 
-    try:
-        (out / "config.json").write_text(canonical_json(doc) + "\n")
-        if trace is not None:
-            write_trace_csv(trace, out / "trace.csv")
-        else:
-            (out / "trace.csv").write_text("iter,residual,ratio\n")
-        (out / "summary.json").write_text(
-            json.dumps(_null_non_finite(summary.to_dict()), indent=2, allow_nan=False) + "\n"
-        )
-    except OSError as e:
-        raise IoError(f"cannot write artifacts under {out}: {e}") from e
+    summary_doc = _null_non_finite(summary.to_dict())
+    for key, what, text in (
+        ("config", "config JSON", canonical_json(doc) + "\n"),
+        ("trace", "trace CSV", _trace_csv(trace)),
+        ("summary", "summary JSON", json.dumps(summary_doc, indent=2, allow_nan=False) + "\n"),
+    ):
+        _write_artifact(out / _RUN_FILES[key], text, what)
     return summary
 
 
@@ -566,7 +566,7 @@ def bench_compare(
             except ConfigError as e:
                 raise ConfigError(f"family[{i}], schemes[{j}]: {e}") from e
             param = {Scheme.KRASNOSELSKIJ: "lambda", Scheme.SOLVE_MODIFIED: "b"}.get(cfg.scheme)
-            label = f"{cfg.scheme.value}[{param}={schemes[j][param]!r}]" if param else "picard"
+            label = f"{cfg.scheme.value}[{param}={schemes[j][param]}]" if param else "picard"
             cells.append((i, label, cfg))
 
     runs = {}  # (mapping, lambda of the iterated map) -> its row's result fields
@@ -597,17 +597,24 @@ def _iterated_lam(cfg: ExperimentConfig) -> float | None:
     return None
 
 
+# bench.csv's columns, the keys of a bench_compare row.
+_BENCH_COLUMNS = ("mapping", "scheme", "status", "iterations", "empirical_ratio")
+
+
 def write_bench_csv(rows: list[dict], path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["mapping", "scheme", "status", "iterations", "empirical_ratio"],
-                lineterminator="\n",
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-    except OSError as e:
-        raise IoError(f"cannot write benchmark CSV {path}: {e}") from e
+    """Write ``bench_compare`` rows to ``path`` as CSV: the header
+    ``mapping,scheme,status,iterations,empirical_ratio``, then one line per row.
+
+    Each cell is its value's ``str``, which for a float is its repr, and a
+    blank cell stays empty. No cell needs CSV quoting: mappings and
+    iteration counts are integers, ratios floats, scheme labels are built
+    from parsed numbers, and statuses are ``Status`` values or exception class
+    names. So the file is built as one string, the bytes ``csv.DictWriter``
+    would write, and written once. Raises IoError ("cannot write benchmark
+    CSV <path>: ...") when the file cannot be written.
+    """
+    lines = [_BENCH_COLUMNS] + [[str(row[name]) for name in _BENCH_COLUMNS] for row in rows]
+    _write_artifact(path, "".join(",".join(line) + "\n" for line in lines), "benchmark CSV")
 
 
 def run_bench(doc: dict, out_dir=None) -> tuple[list[dict], Path]:
@@ -657,8 +664,5 @@ def run_gen(doc: dict, out_dir=None) -> tuple[list[Affine], Path]:
     out = _out_dir(out_dir if out_dir is not None else fields["output_dir"])
     family = _generate(fields)
     path = _made(out) / "family.json"
-    try:
-        path.write_text(_family_json(family) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    _write_artifact(path, _family_json(family) + "\n", "family JSON")
     return family, path

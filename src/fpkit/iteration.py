@@ -454,21 +454,40 @@ def empirical_ratio(trace: IterationTrace) -> float:
     return float(math.exp(sum(math.log(r) for r in tail) / len(tail)))
 
 
-def write_trace_csv(trace: IterationTrace, path) -> None:
-    """Serialize a trace as CSV with columns iter,residual,ratio.
+def _trace_csv(trace: IterationTrace | None) -> str:
+    """The text of ``trace.csv``: the header ``iter,residual,ratio``, then one
+    row per step of ``trace``; the header alone when ``trace`` is None, for a
+    run that does not iterate.
 
     ``iter`` is 1-based; the ratio cell is empty where undefined. Floats are
-    written with repr (shortest round-trip form), so identical traces produce
-    byte-identical files. No cell needs CSV quoting, so the file is built as
-    one string, the bytes ``csv.writer`` would write, and written once.
-    Raises IoError when the file cannot be written.
+    written with repr (shortest round-trip form), so identical traces give
+    identical text. No cell needs CSV quoting, so the text is built as one
+    string, the bytes ``csv.writer`` would write.
     """
-    rows = "".join([
+    steps = () if trace is None else zip(trace.residuals, trace.ratios)
+    return "iter,residual,ratio\n" + "".join([
         f"{i},{res!r},{'' if ratio is None else repr(ratio)}\n"
-        for i, (res, ratio) in enumerate(zip(trace.residuals, trace.ratios), start=1)
+        for i, (res, ratio) in enumerate(steps, start=1)
     ])
+
+
+def _write_artifact(path, text: str, what: str) -> None:
+    """Write ``text`` to the file ``path``, replacing it: the one place the
+    package writes an artifact. Raises IoError naming ``what`` and ``path``
+    (``cannot write <what> <path>: <reason>``) when it cannot."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write("iter,residual,ratio\n" + rows)
-    except OSError as e:
-        raise IoError(f"cannot write trace CSV {path}: {e}") from e
+            fh.write(text)
+    except (OSError, ValueError) as e:
+        raise IoError(f"cannot write {what} {path}: {e}") from e
+
+
+def write_trace_csv(trace: IterationTrace, path) -> None:
+    """Write ``trace`` to ``path`` as CSV with columns iter,residual,ratio.
+
+    ``iter`` is 1-based; the ratio cell is empty where undefined, and floats
+    are written with repr, so identical traces produce byte-identical files
+    (``_trace_csv`` builds the text). Raises IoError ("cannot write trace CSV
+    <path>: ...") when the file cannot be written.
+    """
+    _write_artifact(path, _trace_csv(trace), "trace CSV")

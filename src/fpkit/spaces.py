@@ -69,14 +69,22 @@ def _float_array(x, name: str) -> np.ndarray:
 
     InvariantViolation naming ``name`` when ``x`` is not an array of numbers,
     or holds an integer past the float range, on which numpy raises
-    OverflowError. Entries are not checked for finiteness.
+    OverflowError. A string or bytes is not a number, although numpy would
+    parse one: arrays of them are refused, and so is an object array (such
+    as a list of Decimals, which is taken) holding one. Entries are not
+    checked for finiteness.
     """
     try:
-        return np.asarray(x, dtype=float)
+        a = np.asarray(x)
+        if a.dtype.kind in "biuf" or (
+            a.dtype.kind == "O" and not any(isinstance(e, (str, bytes)) for e in a.flat)
+        ):
+            return a.astype(float, copy=False)
     except (TypeError, ValueError):
-        raise InvariantViolation(f"{name}: expected an array of numbers") from None
+        pass
     except OverflowError:
         raise InvariantViolation(f"{name}: entries must be finite") from None
+    raise InvariantViolation(f"{name}: expected an array of numbers")
 
 
 def as_vector(x, *, name: str = "vector") -> np.ndarray:
@@ -113,9 +121,11 @@ def _l2(rows: np.ndarray) -> np.ndarray:
     # _L2_RESCALE_BELOW. np.vecdot takes that same dot product per row; the
     # shorter forms (rows * rows).sum(axis=1) and einsum round differently.
     out = np.sqrt(np.vecdot(rows, rows))
+    # A row of zeros has the exact norm 0: when every row below the threshold
+    # is one, the rescale is skipped (rescaled beside others, it stays 0).
+    # count_nonzero is numpy's cheapest test of a small array.
     tiny = out < _L2_RESCALE_BELOW
-    if tiny.any():
-        w = rows[tiny] * _L2_SCALE
+    if np.count_nonzero(tiny) and np.count_nonzero(w := rows[tiny] * _L2_SCALE):
         out[tiny] = np.sqrt(np.vecdot(w, w)) / _L2_SCALE
     return out
 

@@ -136,6 +136,18 @@ def reference_write_trace_csv(trace: fp.IterationTrace, path) -> None:
             writer.writerow([i, repr(res), "" if ratio is None else repr(ratio)])
 
 
+def reference_write_bench_csv(rows: list[dict], path) -> None:
+    """The ``csv.DictWriter`` form of ``fp.write_bench_csv``: the reference
+    for the bytes of ``bench.csv``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(
+            fh, fieldnames=["mapping", "scheme", "status", "iterations", "empirical_ratio"],
+            lineterminator="\n",
+        )
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def reference_draw(
     sampler: fp.PairSampler, dim: int, rounds: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

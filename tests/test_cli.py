@@ -319,6 +319,42 @@ def test_missing_config_file_is_io_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_IO
 
 
+# command -> (config, the artifact whose name a directory takes, its name in
+# the error message)
+UNWRITABLE = {
+    "solve": ({"mapping": DEMO_MAPPING, "b": 3.0, "x0": [0.0]}, "config.json", "config JSON"),
+    "verify": ({"mapping": DEMO_MAPPING, "b": 3.0, "kind": "modified"}, "trace.csv", "trace CSV"),
+    "iterate": (
+        {"mapping": DEMO_MAPPING, "scheme": "krasnoselskij", "lambda": 0.25, "x0": [0.0]},
+        "summary.json", "summary JSON",
+    ),
+    "min-b": ({"mapping": DEMO_MAPPING, "kind": "modified"}, "trace.csv", "trace CSV"),
+    "bench": ({"family": [DEMO_MAPPING], "schemes": [{"scheme": "picard"}]}, "bench.csv",
+              "benchmark CSV"),
+    "gen": ({"dim": 1, "singular_values": [0.5], "count": 1}, "family.json", "family JSON"),
+}
+
+
+@pytest.mark.parametrize("command", UNWRITABLE)
+def test_unwritable_output_is_io_error(tmp_path, write_config, capsys, command):
+    # --out under a regular file, or an artifact's name taken by a directory:
+    # exit 3 with one line naming the path, and no traceback.
+    doc, artifact, what = UNWRITABLE[command]
+    cfg = write_config(doc)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    taken = tmp_path / "taken"
+    (taken / artifact).mkdir(parents=True)
+    for out, message in (
+        (blocker / "out", f"cannot create output directory {blocker / 'out'}: "),
+        (taken, f"cannot write {what} {taken / artifact}: "),
+    ):
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {message}") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 def test_malformed_json_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fpkit as fp
 from fpkit import enrichment, spaces
 from fpkit.enrichment import B_TOL
-from fpkit.errors import InvariantViolation, NonFiniteResult, ParameterOutOfRange
+from fpkit.errors import DimensionMismatch, InvariantViolation, NonFiniteResult, ParameterOutOfRange
 
 from _family import (
     family50,
@@ -349,6 +349,13 @@ def test_condition_ratio_rejects_pairs_without_a_ratio():
         ([], [1.0], "x: expected a non-empty 1-D array"),
     ):
         with pytest.raises(InvariantViolation, match=match):
+            fp.condition_ratio(T_LINE, 1.0, fp.ConditionKind.ENRICHED, x, y)
+
+
+def test_condition_ratio_names_a_point_of_the_wrong_dimension():
+    # x and y are checked against the mapping as the solvers check x0.
+    for x, y, name in (([0.0, 1.0], [1.0], "x"), ([0.0], [1.0, 2.0, 3.0], "y")):
+        with pytest.raises(DimensionMismatch, match=f"^{name}: dimension [23] does not match"):
             fp.condition_ratio(T_LINE, 1.0, fp.ConditionKind.ENRICHED, x, y)
 
 

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fpkit as fp
-from fpkit.errors import ConfigError, InsufficientData
+from fpkit.errors import ConfigError, InsufficientData, IoError, NonFiniteResult
 from fpkit.harness import (
     FAMILY_COUNT_CAP,
     ExperimentConfig,
@@ -17,6 +19,8 @@ from fpkit.harness import (
     run_bench,
     run_gen,
 )
+
+from _family import reference_write_bench_csv
 
 DEMO_DOC = {
     "mapping": {"kind": "affine", "matrix": [[-2.0]], "offset": [100.0]},
@@ -426,6 +430,59 @@ def test_bench_csv_output(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "mapping,scheme,status,iterations,empirical_ratio"
     assert len(lines) == 3
+
+
+def test_bench_csv_matches_the_dict_writer_bytes(tmp_path, monkeypatch):
+    # Rows with blank iterations and empirical_ratio cells, error statuses,
+    # and labels from an int, floats and a Fraction: write_bench_csv writes
+    # the bytes csv.DictWriter does, and no cell needs quoting.
+    picard = fp.iteration.picard
+
+    def failing_in_3d(mapping, *args, **kwargs):
+        if mapping.dim == 3:
+            raise NonFiniteResult("mapping evaluation overflowed to a non-finite vector")
+        return picard(mapping, *args, **kwargs)
+
+    monkeypatch.setattr(fp.iteration, "picard", failing_in_3d)
+    monkeypatch.setattr(fp.harness, "picard", failing_in_3d)
+    family = _bench_family() + [fp.Affine(-2.0 * np.eye(2), [3.0, -1.0]), fp.scaling_map(0.5, 3)]
+    schemes = SHARED_SCHEMES + [{"scheme": "krasnoselskij", "lambda": Fraction(1, 3)},
+                                {"scheme": "solve_modified", "b": 2}]
+    rows = fp.bench_compare(family, schemes)
+    assert {"converged", "diverged", "error:NonFiniteResult"} <= {r["status"] for r in rows}
+    assert any(r["iterations"] == "" for r in rows)
+    assert any(r["empirical_ratio"] == "" and r["iterations"] != "" for r in rows)
+    fp.write_bench_csv(rows, tmp_path / "new.csv")
+    reference_write_bench_csv(rows, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    text = (tmp_path / "new.csv").read_text()
+    assert '"' not in text and "krasnoselskij[lambda=1/3]" in text and "[b=2]," in text
+
+
+def test_unwritable_artifacts_are_io_errors_naming_them(tmp_path):
+    # An output path under a regular file, and each artifact's name taken by
+    # a directory: IoError naming the artifact and its path.
+    bench = {"family": [DEMO_DOC["mapping"]], "schemes": [{"scheme": "picard"}]}
+    gen = {"dim": 1, "singular_values": [0.5], "count": 1}
+    runs = {
+        "config.json": ("config JSON", lambda out: fp.run_experiment(demo_config(), out)),
+        "trace.csv": ("trace CSV", lambda out: fp.run_experiment(demo_config(), out)),
+        "summary.json": ("summary JSON", lambda out: fp.run_experiment(demo_config(), out)),
+        "bench.csv": ("benchmark CSV", lambda out: run_bench(bench, out)),
+        "family.json": ("family JSON", lambda out: run_gen(gen, out)),
+    }
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for artifact, (what, call) in runs.items():
+        with pytest.raises(IoError, match=re.escape(f"cannot create output directory {blocker}")):
+            call(blocker / "out")
+        taken = tmp_path / artifact.replace(".", "-")
+        (taken / artifact).mkdir(parents=True)
+        with pytest.raises(IoError, match=re.escape(f"cannot write {what} {taken / artifact}: ")):
+            call(taken)
+    rows = fp.bench_compare([fp.line_map(0.5, 1.0)], [{"scheme": "picard"}])
+    with pytest.raises(IoError, match=re.escape(f"cannot write benchmark CSV {tmp_path}: ")):
+        fp.write_bench_csv(rows, tmp_path)
 
 
 def test_bench_family_nested_too_deeply_is_config_error(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -347,10 +348,21 @@ def test_non_numeric_fields_are_invariant_violations():
         (lambda: fp.evaluate_many(fp.Identity(1), [[10**400]]), "^xs: entries must be finite"),
         (lambda: fp.norm([10**400]), "^vector: entries must be finite"),
         (lambda: fp.parse_mapping({"kind": "rotation", "theta": 10**400}), r"^\$\.theta: must be finite"),
+        # Strings and bytes are not numbers, although numpy parses them.
+        (lambda: fp.norm("1.5"), "^vector: expected an array of numbers"),
+        (lambda: fp.norm([Decimal("1.5"), "2"]), "^vector: expected an array of numbers"),
+        (lambda: fp.Affine([["2"]], ["0"]), "^matrix: expected an array of numbers"),
+        (lambda: fp.Affine([[2.0]], [b"0"]), "^offset: expected an array of numbers"),
+        (lambda: fp.BoxProjection(["0"], [1.0]), "^lo: expected an array of numbers"),
+        (lambda: fp.evaluate(fp.Identity(1), [b"7"]), "^x: expected an array of numbers"),
+        (lambda: fp.evaluate_many(fp.Identity(1), [["1.5"], ["2"]]), "^xs: expected an array of numbers"),
+        (lambda: fp.evaluate_many(fp.Identity(1), np.array([[b"1"]])), "^xs: expected an array of numbers"),
+        (lambda: fp.operator_norm(np.array([["1.0"]])), "^matrix: expected an array of numbers"),
     ):
         with pytest.raises(InvariantViolation, match=match):
             call()
-    # numpy scalars are numbers.
+    # numpy scalars are numbers, and so are Decimals.
+    assert fp.norm([Decimal(3), Decimal("4.0")]) == 5.0
     assert fp.Identity(np.int64(2)).dim == 2
     assert fp.line_map(np.float64(2.0), np.int32(1)) == fp.line_map(2.0, 1.0)
 

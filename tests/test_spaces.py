@@ -60,6 +60,37 @@ def test_tiny_nonzero_vectors_have_positive_accurate_norms():
         assert fp.norm(v, fp.NormKind.L2) == pytest.approx(l2, rel=1e-15, abs=0.0)
 
 
+def test_l2_rows_keep_their_bits_beside_zero_rows(monkeypatch):
+    # A zero row skips the rescale that rows below _L2_RESCALE_BELOW take, in
+    # a block of its own or beside others. Every row's norm is np.linalg.norm
+    # of it, or of it scaled by the exact power of two for a tiny row, the
+    # same in any block.
+    scale = 2.0**600
+    zero, tiny, subnormal = [0.0, 0.0, 0.0], [1e-170, -2e-170, 0.0], [5e-324, 0.0, 1e-320]
+    ordinary = [3.0, -4.0, 0.5]
+    want = {
+        "zero": 0.0,
+        "tiny": np.linalg.norm(np.multiply(tiny, scale)) / scale,
+        "subnormal": np.linalg.norm(np.multiply(subnormal, scale)) / scale,
+        "ordinary": np.linalg.norm(ordinary),
+    }
+    rows = {"zero": zero, "tiny": tiny, "subnormal": subnormal, "ordinary": ordinary}
+    l2 = VECTOR_NORMS[fp.NormKind.L2]
+    for block in (["zero"], ["ordinary"], ["tiny"], ["subnormal"], ["zero", "zero"],
+                  ["zero", "ordinary"], ["ordinary", "zero", "ordinary"],
+                  ["zero", "tiny", "ordinary", "subnormal", "zero"]):
+        got = l2(np.array([rows[name] for name in block]))
+        assert [repr(float(n)) for n in got] == [repr(float(want[n])) for n in block], block
+    assert want["tiny"] > 0.0 and want["subnormal"] > 0.0
+    # Zero rows alone take one dot product per row, with no rescale pass.
+    calls = []
+    vecdot = np.vecdot
+    monkeypatch.setattr(np, "vecdot", lambda a, b: calls.append(len(a)) or vecdot(a, b))
+    l2(np.zeros((3, 2)))
+    l2(np.array([zero, ordinary]))
+    assert calls == [3, 2]
+
+
 def test_norm_rejects_empty_vectors_and_unknown_kinds():
     for kind in ALL_KINDS:
         with pytest.raises(InvariantViolation, match="non-empty"):
