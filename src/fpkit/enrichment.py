@@ -52,6 +52,12 @@ B_TOL = 1e-8  # min_b_affine returns the least feasible b to within this
 
 DEFAULT_SLACK = 1e-9
 
+# min_b_affine's l2 enriched closed form reads as 0, as rounding noise, an
+# eigenvalue of 2I - (A + A^T) within this times max(1, its largest) of 0,
+# and an entry of (A^T A - I) Z within this times max(1, its largest entry)
+# of 0, Z the eigenvectors of those eigenvalues.
+_SINGULAR = 1e-12
+
 # Far pairs closer than this times box_radius are redrawn, so x = y never
 # occurs in a sample.
 MIN_SEPARATION = 1e-14
@@ -490,18 +496,29 @@ def _enriched_least(A: np.ndarray, norm_kind: NormKind) -> float:
     b >= (R_i - D_i - 1) / 2. l2: squaring ||bI + A|| <= b + 1 cancels b^2 and
     leaves P <= bN, with N = 2I - (A + A^T) and P = A^T A - I. When N is
     positive definite, the least b is the top eigenvalue of N^-1/2 P N^-1/2.
-    When N has a negative eigenvalue no b is feasible; when it is singular
-    there is no closed form, and inf leaves the verdict to the kernel.
+    When N has a negative eigenvalue no b is feasible. When N is singular,
+    as when A fixes a direction, P <= bN needs P = 0 on N's null space;
+    where P vanishes there to within rounding, the pencil is solved on N's
+    range, and otherwise inf leaves the verdict to the kernel.
     """
     if norm_kind is not NormKind.L2:
         D, R = _box_parts(A, norm_kind)
         return max(0.0, float(np.max(R - D - 1.0)) / 2.0) if np.max(D + R) <= 1.0 else math.inf
     eye = np.eye(A.shape[0])
+    P = A.T @ A - eye
     w, V = np.linalg.eigh(2.0 * eye - (A + A.T))
-    if not w[0] > 0.0:
+    tiny = _SINGULAR * max(1.0, w[-1])
+    if abs(w[0]) <= tiny:  # N is singular: solve on its range if P is 0 on its null space
+        null = w <= tiny
+        if np.abs(P @ V[:, null]).max() > _SINGULAR * max(1.0, np.abs(P).max()):
+            return math.inf
+        w, V = w[~null], V[:, ~null]
+        if not w.size:  # N = P = 0: every b is feasible
+            return 0.0
+    elif not w[0] > 0.0:
         return math.inf
     W = V / np.sqrt(w)
-    return max(0.0, float(np.linalg.eigvalsh(W.T @ (A.T @ A - eye) @ W)[-1]))
+    return max(0.0, float(np.linalg.eigvalsh(W.T @ P @ W)[-1]))
 
 
 def _modified_interval(A: np.ndarray, norm_kind: NormKind) -> tuple[float, float]:
@@ -541,21 +558,29 @@ def min_b_affine(
 
     The endpoint is solved for, not searched: in l1 and l-infinity it is a
     maximum over rows, and in l2 the top eigenvalue of a symmetric-definite
-    pencil (enriched) or the d-th of a quadratic eigenproblem (modified). The
-    kernel of ``OPERATOR_NORMS`` then checks it: the answer is the closed form
-    stepped up by a few ulps until g reads <= 0 there, as a bisection's upper
-    end would be. Where g is flat near the endpoint, g reads 0 over a stretch
-    wider than ``B_TOL``, and the answer is the closed form's point in it.
+    pencil (enriched; on the range of 2I - (A + A^T) when that is singular,
+    as for a map that fixes a direction) or the d-th of a quadratic
+    eigenproblem (modified). The kernel of ``OPERATOR_NORMS`` then checks it:
+    the answer is the closed form stepped up by a few ulps until g reads
+    <= 0 there, as a bisection's upper end would be. Where g is flat near
+    the endpoint, g reads 0 over a stretch wider than ``B_TOL``, and the
+    answer is the closed form's point in it. Where the kernel refuses that
+    point by rounding alone, the steps and the bisection find a b past it
+    that the kernel accepts, which on a long flat stretch can lie well above
+    the least b.
 
     None rests on the kernel too. Every feasible b is at least
     (||A|| - 1) / 2, so ||A|| = g(0) + 1 > 2 B_CAP + 1 rules every b out before
     any product of A is formed. Otherwise an enriched None needs g(B_CAP) > 0,
-    which rules out every b <= B_CAP because the enriched g is non-increasing,
-    and a modified None needs g > 0 at the closed form's endpoint, and also at
-    the middle of its interval when that is not empty. The steps up from the
-    closed form grow fourfold, so a kernel that refuses many of them still
-    meets a b it accepts within 37 steps; bisection of the last step then
-    finds the least b to within ``B_TOL``.
+    which rules out every b <= B_CAP because the enriched g is non-increasing.
+    That reading is taken at once when the closed form finds no b up to
+    B_CAP, and otherwise only when the steps up from the closed form reach
+    B_CAP, since where g is flat at 0 rounding alone can put one reading
+    above 0. A modified None needs g > 0 at the closed form's endpoint, and
+    also at the middle of its interval when that is not empty. The steps up
+    from the closed form grow fourfold, so a kernel that refuses many of
+    them still meets a b it accepts within 37 steps; bisection of the last
+    step then finds the least b to within ``B_TOL``.
     """
     A = as_matrix(matrix, name="matrix")
     kind = _as_condition_kind(kind)
@@ -573,29 +598,36 @@ def min_b_affine(
         return None
 
     # lo is the answer if the kernel accepts it; otherwise a feasible map has
-    # hi feasible too, and the least b lies in (lo, hi].
+    # hi feasible too, and the least b lies in (lo, hi]. The kernel reads hi
+    # before the step-up unless lo is a finite enriched closed form; then the
+    # step-up reads it only if it gets there.
+    check_hi = True
     if kind is ConditionKind.ENRICHED:
         lo, hi = _enriched_least(A, norm_kind), B_CAP
         if lo > B_CAP:
             # No b up to B_CAP by closed form: g(B_CAP) > 0 confirms it, or
             # else bisection from 0 finds the least.
             lo = 0.0
+        else:
+            check_hi = False
     else:
         lo, hi = _modified_interval(A, norm_kind)
         lo = min(lo, B_CAP)
         hi = 0.5 * (lo + min(hi, B_CAP))
     if (g0 if lo == 0.0 else g(lo)) <= 0.0:
         return lo
-    if not lo < hi or g(hi) > 0.0:
+    if not lo < hi or (check_hi and g(hi) > 0.0):
         return None
-    # The kernel refuses lo and accepts hi. Step up from lo by 1, 4, 16, ...
-    # ulps of max(lo, 1) until it accepts; where lo was refused by rounding
-    # alone, a few steps do. From 2**-52 to B_CAP that is at most 37 passes.
+    # The kernel refuses lo. Step up from lo by 1, 4, 16, ... ulps of
+    # max(lo, 1) until it accepts; where lo was refused by rounding alone, a
+    # few steps do. From 2**-52 to B_CAP that is at most 37 passes.
     step = math.ulp(max(lo, 1.0))
     while True:
         b = min(lo + step, hi)
-        if b == hi or g(b) <= 0.0:
+        if (b == hi and check_hi) or g(b) <= 0.0:
             break
+        if b == hi:
+            return None
         lo, step = b, 4.0 * step
     hi = b
     # Each pass halves hi - lo <= B_CAP = 1e6 until it is at most B_TOL / 2:

@@ -58,7 +58,7 @@ from .iteration import (
     solve_modified,
 )
 from .mappings import Affine, Mapping, _as_point, _num, as_affine, parse_mapping, serialize_mapping
-from .spaces import DIM_CAP, NormKind, as_vector, is_integer
+from .spaces import DIM_CAP, NormKind, _float_array, as_vector, is_integer, is_number
 
 
 class Scheme(str, Enum):
@@ -208,6 +208,13 @@ def _typed(cls, what: str):
     return parse
 
 
+def _numbers(v, name: str) -> list:
+    """A config list of numbers; JSON booleans and strings are not numbers."""
+    if not (isinstance(v, list) and all(map(is_number, v))):
+        raise ConfigError(f"{name}: must be a list of numbers")
+    return v
+
+
 def _nonneg_int(v, name: str) -> int:
     """A config integer that must be >= 0 (a seed, a dimension or a count)."""
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -237,7 +244,7 @@ _FIELDS = {
     "family": (_as_is, _REQUIRED),
     "schemes": (_as_is, _REQUIRED),
     "dim": (_nonneg_int, _REQUIRED),
-    "singular_values": (_as_is, _REQUIRED),
+    "singular_values": (_numbers, _REQUIRED),
     "count": (_nonneg_int, 0),
 }
 
@@ -280,8 +287,11 @@ def _read(doc, names, prefix: str = "", **defaults) -> dict:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Build and validate an ExperimentConfig from a JSON document."""
+    """Build and validate an ExperimentConfig from a JSON document. A sampler
+    object that names no seed draws with the document's."""
     fields = _read(doc, _CONFIG_FIELDS.values())
+    if isinstance(doc.get("sampler"), dict) and "seed" not in doc["sampler"]:
+        fields["sampler"] = dataclasses.replace(fields["sampler"], seed=fields["seed"])
     return ExperimentConfig(**{attr: fields[name] for attr, name in _CONFIG_FIELDS.items()})
 
 
@@ -351,7 +361,13 @@ _SUMMARY_FIELDS = _json_fields(RunSummary)
 def _dispatch(cfg: ExperimentConfig) -> tuple[str, IterationTrace | None, dict]:
     """Run a config's scheme. Returns its status (an FpkitError is
     ``error:<type>``), its trace (None unless it iterates) and the RunSummary
-    fields it sets."""
+    fields it sets.
+
+    The sampled check runs here alone: for a ``verify`` config, and after the
+    iteration of a ``solve_modified`` config with ``verify`` set, where it
+    checks the modified condition at the solve's b. The solve's status is
+    its trace's; a refuted check does not change it.
+    """
     try:
         if cfg.scheme is Scheme.PICARD:
             trace = picard(cfg.mapping, cfg.x0, cfg.stop, cfg.norm_kind)
@@ -359,26 +375,21 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[str, IterationTrace | None, dict]:
         if cfg.scheme is Scheme.KRASNOSELSKIJ:
             trace = krasnoselskij(cfg.mapping, cfg.lam, cfg.x0, cfg.stop, cfg.norm_kind)
             return trace.status.value, trace, {"lam": cfg.lam}
+        if cfg.scheme is Scheme.MIN_B:
+            value = min_b_affine(as_affine(cfg.mapping)[0], cfg.kind, cfg.norm_kind)
+            return "found" if value is not None else "infeasible", None, {"min_b": value}
+        trace, fields = None, {}
         if cfg.scheme is Scheme.SOLVE_MODIFIED:
-            result = solve_modified(
-                cfg.mapping, cfg.b, cfg.x0, cfg.stop, cfg.norm_kind, cfg.verify,
-                sampler=cfg.effective_sampler(), slack=cfg.slack,
+            result = solve_modified(cfg.mapping, cfg.b, cfg.x0, cfg.stop, cfg.norm_kind)
+            trace, fields = result.trace, {"lam": result.lam, "residual_T": result.residual_T}
+        if trace is None or cfg.verify:
+            fields["report"] = verify_condition(
+                cfg.mapping, cfg.b, cfg.kind if trace is None else ConditionKind.MODIFIED,
+                cfg.effective_sampler(), slack=cfg.slack, norm_kind=cfg.norm_kind,
             )
-            return result.trace.status.value, result.trace, {
-                "fixed_point": result.fixed_point.tolist(),
-                "lam": result.lam,
-                "residual_T": result.residual_T,
-                "report": result.condition_verified,
-            }
-        if cfg.scheme is Scheme.VERIFY:
-            report = verify_condition(
-                cfg.mapping, cfg.b, cfg.kind, cfg.effective_sampler(),
-                slack=cfg.slack, norm_kind=cfg.norm_kind,
-            )
-            return "passed" if report.passed else "refuted", None, {"report": report}
-        A, _ = as_affine(cfg.mapping)
-        value = min_b_affine(A, cfg.kind, cfg.norm_kind)
-        return "found" if value is not None else "infeasible", None, {"min_b": value}
+        if trace is None:
+            return "passed" if fields["report"].passed else "refuted", None, fields
+        return trace.status.value, trace, fields
     except FpkitError as e:
         return f"error:{type(e).__name__}", None, {}
 
@@ -428,8 +439,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     )
     if trace is not None:
         summary.iterations = trace.iterations
-        if summary.fixed_point is None:
-            summary.fixed_point = trace.final.tolist()
+        summary.fixed_point = trace.final.tolist()
 
     summary_doc = _null_non_finite(summary.to_dict())
     for key, what, text in (
@@ -467,7 +477,9 @@ def generate_affine_family(
     matrices (signs fixed to make the factorization unambiguous) and an
     offset uniform in [-10, 10]^dim. Deterministic per seed. ``seed``,
     ``dim`` and ``count`` must be integers (bools are not), and ``count`` at
-    most FAMILY_COUNT_CAP; every argument is checked before the first draw.
+    most FAMILY_COUNT_CAP; ``singular_values`` converts as every array does
+    (``spaces._float_array``), so strings, bytes and complex entries are
+    refused. Every argument is checked before the first draw.
     """
     for name, v in (("seed", seed), ("dim", dim), ("count", count)):
         if not is_integer(v):
@@ -479,11 +491,10 @@ def generate_affine_family(
     if not 0 <= count <= FAMILY_COUNT_CAP:
         raise ParameterOutOfRange(f"count: must be in [0, {FAMILY_COUNT_CAP}]")
     try:
-        s = np.asarray(singular_values, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterOutOfRange("singular_values: must be a list of numbers") from None
-    except OverflowError:  # an integer past the float range
-        raise ParameterOutOfRange("singular_values: must be finite and >= 0") from None
+        s = _float_array(singular_values, "singular_values")
+    except InvariantViolation as e:  # not numbers, or an integer past the float range
+        reason = "finite and >= 0" if str(e).endswith("finite") else "a list of numbers"
+        raise ParameterOutOfRange(f"singular_values: must be {reason}") from None
     if s.ndim != 1 or s.size != dim:
         raise ParameterOutOfRange(f"singular_values: must be a list of length dim={dim}")
     if not np.all(np.isfinite(s)) or np.any(s < 0):

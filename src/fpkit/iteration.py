@@ -21,14 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .enrichment import (
-    DEFAULT_SLACK,
-    ConditionKind,
-    EnrichmentReport,
-    PairSampler,
-    averaged,
-    verify_condition,
-)
+from .enrichment import averaged
 from .errors import InsufficientData, IoError, NonFiniteResult, ParameterOutOfRange
 from .mappings import Affine, Mapping, _as_point, _compile, collapse, evaluate
 from .spaces import (
@@ -331,16 +324,19 @@ def krasnoselskij(
 class SolveResult:
     """Output of solve_modified.
 
-    ``residual_T`` is ||T(fixed_point) - fixed_point|| recomputed against the
-    original map, not the averaged one. ``condition_verified`` carries the
-    sampled condition report when verification was requested, else None.
+    ``fixed_point`` is a read-only property, ``trace.final``. ``residual_T``
+    is ||T(fixed_point) - fixed_point|| recomputed against the original map,
+    not the averaged one.
     """
 
-    fixed_point: np.ndarray
     lam: float
     trace: IterationTrace
     residual_T: float
-    condition_verified: EnrichmentReport | None = None
+
+    @property
+    def fixed_point(self) -> np.ndarray:
+        """The last iterate, ``trace.final``."""
+        return self.trace.final
 
 
 def solve_modified(
@@ -349,10 +345,7 @@ def solve_modified(
     x0,
     stop: StopRule | None = None,
     norm_kind: NormKind = NormKind.L2,
-    verify: bool = False,
     *,
-    sampler: PairSampler | None = None,
-    slack: float = DEFAULT_SLACK,
     store_iterates: bool = False,
 ) -> SolveResult:
     """Fixed point of a b-modified-enriched map via averaged iteration.
@@ -360,31 +353,18 @@ def solve_modified(
     Uses lambda = 1/(b+1), the value that turns the condition into a Banach
     contraction bound with factor lambda. Requires b > 0: at b = 0 the
     condition only says the map is nonexpansive and the contraction guarantee
-    (and uniqueness) evaporates. The iteration runs first, so ``picard``'s
-    check of ``x0`` and its dimension refuses a bad start before the sampled
-    check runs. With ``verify=True`` that check runs next and its report is
-    attached; a failed check does not change the result, since the sampled
-    check can refute but never certify.
+    (and uniqueness) evaporates. Whether T meets the condition is a separate
+    question, which ``enrichment.verify_condition`` can refute but never
+    certify; the iteration runs either way.
     """
     lam = _modified_lam(b)
     trace = krasnoselskij(mapping, lam, x0, stop, norm_kind, store_iterates=store_iterates)
-    report = None
-    if verify:
-        report = verify_condition(
-            mapping, b, ConditionKind.MODIFIED, sampler, slack=slack, norm_kind=norm_kind
-        )
     try:
         with np.errstate(over="ignore"):  # an overflowed l2 norm reads inf
             residual_T = norm(evaluate(mapping, trace.final) - trace.final, norm_kind)
     except NonFiniteResult:
         residual_T = float("inf")
-    return SolveResult(
-        fixed_point=trace.final,
-        lam=lam,
-        trace=trace,
-        residual_T=residual_T,
-        condition_verified=report,
-    )
+    return SolveResult(lam, trace, residual_T)
 
 
 def apriori_iterations(lam: float, d1: float, eps: float) -> int:

@@ -113,6 +113,67 @@ def test_iterate_rejects_foreign_scheme(tmp_path, write_config):
     assert main(["iterate", "--config", cfg, "--out", str(tmp_path / "i")]) == EXIT_CONFIG
 
 
+def test_tol_and_max_iter_flags_change_the_run(tmp_path, write_config):
+    cfg = write_config(
+        {"mapping": DEMO_MAPPING, "scheme": "krasnoselskij", "lambda": 0.25, "x0": [0.0]}
+    )
+    runs = {}
+    for name, flags, code in (
+        ("default", [], EXIT_OK),
+        ("tol", ["--tol", "1e-3"], EXIT_OK),
+        ("max-iter", ["--max-iter", "3"], EXIT_SCHEME_FAILURE),
+    ):
+        out = tmp_path / name
+        assert main(["iterate", "--config", cfg, "--out", str(out), *flags]) == code, name
+        runs[name] = (json.loads((out / "summary.json").read_text()),
+                      json.loads((out / "config.json").read_text())["stop"])
+    default, _ = runs["default"]
+    summary, stop = runs["tol"]
+    assert stop["eps_abs"] == 1e-3
+    assert summary["status"] == "converged" and summary["iterations"] < default["iterations"]
+    summary, stop = runs["max-iter"]
+    assert stop["max_iter"] == 3
+    assert (summary["status"], summary["iterations"]) == ("max_iter_reached", 3)
+
+
+def test_missing_or_foreign_fields_are_config_errors(tmp_path, write_config, capsys, monkeypatch):
+    # Each exits 2 with one message and leaves no output directory. The solve
+    # has neither --out nor output_dir, so the run starts in tmp_path, where
+    # any directory it made would show.
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", str(tmp_path / "o")]
+    for command, doc, args, message in (
+        ("iterate", {"mapping": DEMO_MAPPING, "scheme": "verify", "b": 3.0, "kind": "modified"},
+         out, "scheme: iterate expects picard or krasnoselskij, got 'verify'"),
+        ("verify", {"mapping": DEMO_MAPPING, "b": 3.0}, out, "kind: required for scheme verify"),
+        ("min-b", {"mapping": DEMO_MAPPING}, out, "kind: required for scheme min_b"),
+        ("solve", {"mapping": DEMO_MAPPING, "b": 3.0, "x0": [0.0]}, [],
+         "output_dir: required (set it in the config or pass out_dir)"),
+    ):
+        cfg = write_config(doc)
+        assert main([command, "--config", cfg, *args]) == EXIT_CONFIG, command
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"], command
+
+
+def test_seed_reaches_a_sampler_that_names_none(tmp_path, write_config):
+    # A sampler object without a seed draws with the document's seed, as a
+    # bench generator family does, so --seed changes the sample; one that
+    # names its seed keeps it.
+    doc = {"mapping": {"kind": "rotation", "theta": 1.0}, "b": 0.3, "kind": "modified",
+           "sampler": {"count": 100}}
+    witnesses = []
+    for sampler, seed, drawn in (({"count": 100}, 1, 1), ({"count": 100}, 2, 2),
+                                 ({"count": 100, "seed": 7}, 1, 7)):
+        cfg = write_config({**doc, "sampler": sampler})
+        out = tmp_path / f"{seed}-{drawn}"
+        argv = ["verify", "--config", cfg, "--out", str(out), "--seed", str(seed)]
+        assert main(argv) == EXIT_SCHEME_FAILURE
+        assert json.loads((out / "config.json").read_text())["sampler"]["seed"] == drawn
+        witnesses.append(json.loads((out / "summary.json").read_text())["report"]["witness"])
+    assert witnesses[0] != witnesses[1]
+
+
 def test_min_b_prints_value(tmp_path, write_config, capsys):
     cfg = write_config({"mapping": DEMO_MAPPING, "kind": "modified"})
     assert main(["min-b", "--config", cfg, "--out", str(tmp_path / "m")]) == EXIT_OK
@@ -183,6 +244,13 @@ def test_bench_rejects_bad_fields(tmp_path, write_config, capsys):
         ("family.count", {"family": {**family, "count": "2"}}),
         ("family.singular_values: must be a list of numbers",
          {"family": {**family, "singular_values": "abc"}}),
+        # JSON booleans and strings are not numbers, as everywhere in a config.
+        ("family.singular_values: must be a list of numbers",
+         {"family": {**family, "singular_values": ["0.5"]}}),
+        ("family.singular_values: must be a list of numbers",
+         {"family": {**family, "singular_values": [True]}}),
+        ("family: expected a list of mappings or a generator object", {"family": 5}),
+        ("schemes: expected a non-empty list", {"schemes": []}),
         # The generator's own range checks name the field too.
         ("family.dim: must be in [1, 64]", {"family": {**family, "dim": 0}}),
         ("family.dim: must be in [1, 64]", {"family": {**family, "dim": 65}}),
@@ -234,6 +302,8 @@ def test_gen_rejects_bad_fields(tmp_path, write_config, capsys):
         ("singular_values", [0.5], "singular_values: must be a list of length dim=2"),
         ("singular_values", [0.5, -0.25], "singular_values: must be finite and >= 0"),
         ("singular_values", [1.0, "x"], "singular_values: must be a list of numbers"),
+        ("singular_values", ["0.5", 0.25], "singular_values: must be a list of numbers"),
+        ("singular_values", [True, 0.5], "singular_values: must be a list of numbers"),
     ):
         cfg = write_config({**doc, name: value})
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG

@@ -672,14 +672,29 @@ def test_modified_min_b_finds_a_one_point_feasible_set():
 
 
 def test_min_b_bisects_where_the_closed_form_has_no_answer():
-    # 2I - (A + A^T) = diag(0, 8) is singular, so the pencil gives no b, yet
-    # ||bI + A||_2 = max(b + 1, |b - 3|) <= b + 1 from b = 1 on: the kernel
-    # accepts B_CAP, and steps from 0 with a bisection find the least b.
+    # 2I - (A + A^T) = diag(0, 8) is singular, and ||bI + A||_2 =
+    # max(b + 1, |b - 3|) <= b + 1 from b = 1 on. A^T A - I = diag(0, 8)
+    # vanishes on the null space, so the pencil on the range gives b = 1.
     A = np.diag([1.0, -3.0])
     kind, norm_kind = fp.ConditionKind.ENRICHED, fp.NormKind.L2
     b = fp.min_b_affine(A, kind, norm_kind)
     assert b == pytest.approx(1.0, abs=B_TOL)
     assert _kernel_gap(A, kind, norm_kind, b) <= 0.0 < _kernel_gap(A, kind, norm_kind, b - B_TOL)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.7, 1.1, 1.5, 2.0, 2.5, 3.0])
+def test_min_b_of_a_map_that_fixes_a_direction(theta):
+    # R diag(1, -3) R^T fixes R e1, so 2I - (A + A^T) is singular, and past
+    # the least b = 1 the kernel's gap is 0 up to rounding, whichever sign
+    # it reads. The pencil on the range of 2I - (A + A^T) answers, and no
+    # single reading at B_CAP makes the answer None.
+    c, s = math.cos(theta), math.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    A = R @ np.diag([1.0, -3.0]) @ R.T
+    kind, norm_kind = fp.ConditionKind.ENRICHED, fp.NormKind.L2
+    b = fp.min_b_affine(A, kind, norm_kind)
+    assert b == pytest.approx(1.0, abs=B_TOL)
+    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
 
 
 def _feasible_modified_family():

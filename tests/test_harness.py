@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fpkit as fp
+from fpkit.cli import EXIT_CONFIG, main
 from fpkit.errors import ConfigError, InsufficientData, IoError, NonFiniteResult
 from fpkit.harness import (
     FAMILY_COUNT_CAP,
@@ -210,6 +212,22 @@ def test_run_min_b_scheme(tmp_path):
     assert summary.min_b == pytest.approx(1.0, abs=1e-6)
 
 
+def test_solve_checks_x0_before_the_sampled_check(tmp_path, monkeypatch, capsys):
+    # solve --verify with a bad start exits 2 at once, not after a whole
+    # sampled check, and leaves no output directory.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sampled check ran before x0 was validated")
+
+    monkeypatch.setattr(fp.harness, "verify_condition", unreachable)
+    path = tmp_path / "solve.json"
+    mapping = fp.serialize_mapping(fp.scaling_map(0.5, dim=64))
+    path.write_text(json.dumps({"mapping": mapping, "b": 3.0, "x0": [0.0] * 3}))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out), "--verify"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: x0: dimension 3 ")
+    assert not out.exists()
+
+
 # --- family generation ---
 
 
@@ -245,6 +263,18 @@ def test_family_validation():
     with pytest.raises(fp.ParameterOutOfRange):
         fp.generate_affine_family(1, 2, [1.0, 1.0], -1)
     assert fp.generate_affine_family(1, 2, [1.0, 1.0], 0) == []
+
+
+def test_family_singular_values_must_be_real_numbers():
+    # Strings and bytes are refused although numpy would parse them, and a
+    # complex array is refused rather than cut to its real part.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in (["0.5", 0.25], [b"0.5", 0.25], np.array([0.5, 0.25j]), "ab", [[0.5, 0.25]]):
+            with pytest.raises(fp.ParameterOutOfRange, match="^singular_values: must be a list"):
+                fp.generate_affine_family(1, 2, values, 1)
+        with pytest.raises(fp.ParameterOutOfRange, match="^singular_values: must be finite and >= 0$"):
+            fp.generate_affine_family(1, 1, [10**400], 1)
 
 
 def test_family_count_past_its_cap_is_refused_before_any_draw(monkeypatch):

@@ -642,17 +642,21 @@ def test_solve_scaled_example_map():
 
 
 def test_solve_rotation_fails_verification_but_converges():
-    res = fp.solve_modified(fp.Rotation(math.pi / 2), 1.0, [1.0, 0.0], verify=True)
-    assert res.condition_verified is not None
-    assert not res.condition_verified.passed
+    # The sampled check refutes the condition, and the solve converges anyway.
+    rotation = fp.Rotation(math.pi / 2)
+    report = fp.verify_condition(rotation, 1.0, fp.ConditionKind.MODIFIED)
+    res = fp.solve_modified(rotation, 1.0, [1.0, 0.0])
+    assert not report.passed
     assert res.trace.status is fp.Status.CONVERGED
     np.testing.assert_allclose(res.fixed_point, [0.0, 0.0], atol=1e-8)
     assert fp.empirical_ratio(res.trace) == pytest.approx(0.7071, abs=1e-3)
 
 
 def test_solve_verify_attaches_passing_report():
-    res = fp.solve_modified(T_LINE, 3.0, [0.0], verify=True)
-    assert res.condition_verified is not None and res.condition_verified.passed
+    report = fp.verify_condition(T_LINE, 3.0, fp.ConditionKind.MODIFIED)
+    res = fp.solve_modified(T_LINE, 3.0, [0.0])
+    assert report.passed
+    assert res.trace.status is fp.Status.CONVERGED
 
 
 def test_solve_rejects_nonpositive_b():
@@ -660,19 +664,6 @@ def test_solve_rejects_nonpositive_b():
         fp.solve_modified(T_LINE, 0.0, [0.0])
     with pytest.raises(ParameterOutOfRange):
         fp.solve_modified(T_LINE, -2.0, [0.0])
-
-
-def test_solve_checks_x0_before_the_sampled_check(monkeypatch):
-    # A bad start is refused at once, not after a whole sampled check.
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the sampled check ran before x0 was validated")
-
-    monkeypatch.setattr(fp.iteration, "verify_condition", unreachable)
-    m = fp.scaling_map(0.5, dim=64)
-    with pytest.raises(DimensionMismatch):
-        fp.solve_modified(m, 3.0, np.zeros(3), verify=True)
-    with pytest.raises(InvariantViolation):
-        fp.solve_modified(m, 3.0, np.full(64, np.nan), verify=True)
 
 
 def test_solve_residual_transfer_identity():
