@@ -14,10 +14,12 @@ Banach contraction with factor lambda, which is what the solvers exploit.
 the condition fails, while a pass is evidence over the sampled pairs, not a
 proof. It scores the pairs of a ``PairSampler`` where they are drawn: the
 sampler's one PCG64 stream is read in one forward pass of row blocks, each
-block is filled into buffers the blocks share and scored there, so no
-(count, d) pair array is made; the few far pairs that fall too close are
-redrawn at the end and scored again as one last block. ``PairSampler.draw``
-copies the same blocks into two whole arrays.
+block is filled into buffers the blocks share and scored there, and the
+witness is copied out of the block that holds it as that block is scored, so
+no (count, d) pair array is made and no pair is drawn twice; the few far
+pairs that fall too close are redrawn at the end and scored again as one
+last block. ``PairSampler.draw`` copies the same blocks into two whole
+arrays.
 ``min_b_affine`` is exact for affine maps, where the condition collapses to
 a convex norm inequality in b: it solves for the least b in closed form (row
 maxima in l1 and l-infinity, eigenvalues in l2), and the operator-norm kernel
@@ -190,134 +192,98 @@ class PairSampler:
         """Return (xs, ys), each of shape (count, dim), with ``dim`` at most
         DIM_CAP; near pairs come first.
 
-        The materialized form of the block stream that ``verify_condition``
-        scores as it goes: each block is copied into its rows, so the bits
-        are those of plain ``rng.uniform`` and ``rng.standard_normal`` draws
-        of the whole sample.
+        The materialized form of the blocks that ``verify_condition`` scores
+        as it goes: each block is copied into its rows, the redrawn pairs
+        last, so the bits are those of plain ``rng.uniform`` and
+        ``rng.standard_normal`` draws of the whole sample.
         """
         if not is_integer(dim) or not 1 <= dim <= DIM_CAP:
             raise ParameterOutOfRange(f"dim must be an integer in [1, {DIM_CAP}], got {dim!r}")
         xs = np.empty((self.count, dim))
         ys = np.empty((self.count, dim))
-        for rows, x, y, _, _ in _PairStream(self, dim).blocks():
+        for rows, x, y, *_ in _pair_blocks(self, int(dim)):
             xs[rows] = x
             ys[rows] = y
         return xs, ys
 
 
-class _PairStream:
-    """The pairs of one ``PairSampler`` at one dimension, in row blocks.
+def _pair_blocks(sampler: PairSampler, dim: int):
+    """Yield the pairs of ``sampler`` at ``dim`` as row blocks
+    ``(rows, xs, ys, diffs, dists, redrawn)``, in draw order.
 
-    One PCG64 stream makes them, in this order: the near pairs' x's, their
-    normal directions and their log-uniform magnitudes; the far rows' x's,
-    then their y's; then the redraws. A direction takes a variable number of
-    draws, so the near pairs are drawn whole. A far row takes a fixed number:
-    with P the stream position after the near pairs, row i's x sits at
-    P + i*d and its y at P + (n_far + i)*d. So far rows are filled block by
-    block into buffers the blocks share, and ``bit_generator.advance`` moves
-    between the two positions.
+    One PCG64 stream makes the pairs, in this order: the near pairs' x's,
+    their normal directions and their log-uniform magnitudes; the far rows'
+    x's, then their y's; then the redraws. A direction takes a variable
+    number of draws, so the near pairs are drawn whole. A far row takes a
+    fixed number: with P the stream position after the near pairs, far row i's
+    x sits at P + i*d and its y at P + (n_far + i)*d. So far rows are filled
+    block by block into buffers the blocks share, and
+    ``bit_generator.advance`` moves between the x's and the y's.
+
+    ``rows`` is the slice of the sample that the block holds: the near rows
+    copied from their arrays, the far rows drawn in place. ``diffs`` is
+    ``xs - ys`` and ``dists`` its l2 row norms. The next block reuses all
+    these arrays, and the caller may overwrite ``diffs`` and ``dists``.
+    ``redrawn`` indexes the block's far pairs closer than MIN_SEPARATION *
+    box_radius; they are yielded as drawn. Once every far row is drawn, those
+    pairs are redrawn from the stream's end, in rounds as in one whole draw,
+    and yielded as one last block whose ``rows`` is the index array of their
+    rows and whose ``redrawn`` is empty, so their final values come last.
     """
-
-    def __init__(self, sampler: PairSampler, dim: int):
-        rng = np.random.default_rng(sampler.seed)
-        r = sampler.box_radius
-        n_near = int(round(sampler.count * sampler.near_pair_fraction))
-        x_near = rng.uniform(-r, r, size=(n_near, dim))
-        y_near = rng.standard_normal(size=(n_near, dim))  # directions, scaled below
+    rng = np.random.default_rng(sampler.seed)
+    r = sampler.box_radius
+    n = sampler.count
+    n_near = int(round(n * sampler.near_pair_fraction))
+    x_near = rng.uniform(-r, r, size=(n_near, dim))
+    y_near = rng.standard_normal(size=(n_near, dim))  # directions, scaled below
+    lens = np.linalg.norm(y_near, axis=1)
+    while np.any(lens == 0.0):
+        bad = lens == 0.0
+        y_near[bad] = rng.standard_normal(size=(int(bad.sum()), dim))
         lens = np.linalg.norm(y_near, axis=1)
-        while np.any(lens == 0.0):
-            bad = lens == 0.0
-            y_near[bad] = rng.standard_normal(size=(int(bad.sum()), dim))
-            lens = np.linalg.norm(y_near, axis=1)
-        mags = np.exp(rng.uniform(math.log(1e-4 * r), math.log(1e-3 * r), size=n_near))
-        y_near *= (mags / lens)[:, None]
-        y_near += x_near
+    mags = np.exp(rng.uniform(math.log(1e-4 * r), math.log(1e-3 * r), size=n_near))
+    y_near *= (mags / lens)[:, None]
+    y_near += x_near
 
-        self.near = x_near, y_near
-        self.n_far = sampler.count - n_near
-        self.dim = dim
-        self._r = r
-        self._rng = rng
-        self._pos = 0  # doubles drawn since P
-        self._redrawn = {}  # row -> its (x, y) after the redraws
+    # A far y sits skip = n_far*d doubles past its x. Each block draws its far
+    # x's, advances to their y's, then moves back by skip to the next block's
+    # x's: PCG64's period is 2**128, so an advance by 2**128 - skip does that
+    # (dim must be a Python int, as 2**128 - skip does not fit an int64).
+    skip = (n - n_near) * dim
+    step = max(1, _BLOCK_ENTRIES // dim)
+    xbuf, ybuf, dbuf = np.empty((3, min(step, n), dim))
+    floor = MIN_SEPARATION * r
+    close = []  # (rows, xs, ys) of the too-close far pairs, in order
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        m = rows.stop - start
+        xs, ys, diffs = xbuf[:m], ybuf[:m], dbuf[:m]
+        k = min(m, max(0, n_near - start))  # near rows in the block
+        xs[:k] = x_near[start : start + k]
+        ys[:k] = y_near[start : start + k]
+        if k < m:
+            _fill_uniform(rng, xs[k:], r)
+            rng.bit_generator.advance(skip - xs[k:].size)
+            _fill_uniform(rng, ys[k:], r)
+            rng.bit_generator.advance(2**128 - skip)
+        dists = _distances(np.subtract(xs, ys, out=diffs))
+        redrawn = k + np.flatnonzero(dists[k:] < floor)
+        if redrawn.size:
+            close.append((start + redrawn, xs[redrawn], ys[redrawn]))
+        yield rows, xs, ys, diffs, dists, redrawn
+    if not close:
+        return
 
-    def _fill(self, out: np.ndarray, at: int) -> None:
-        """Fill ``out`` with the box-uniform doubles from position P + ``at`` on."""
-        if at != self._pos:
-            # PCG64's period is 2**128, so this moves by at - pos, back too.
-            self._rng.bit_generator.advance((at - self._pos) % 2**128)
-        _fill_uniform(self._rng, out, self._r)
-        self._pos = at + out.size
-
-    def blocks(self):
-        """Yield ``(rows, xs, ys, diffs, dists)`` for each row block, in draw order.
-
-        ``rows`` is the slice of the sample that the block holds: the near
-        rows copied from their arrays, the far rows drawn in place. ``diffs``
-        is ``xs - ys`` and ``dists`` its l2 row norms. The next block reuses
-        all these arrays, and the caller may overwrite ``diffs`` and
-        ``dists``. A far pair closer than MIN_SEPARATION * box_radius is
-        yielded as drawn, and its row is noted. Once every far row is drawn,
-        the noted pairs are redrawn from the stream's end, in rounds as in one
-        whole draw, and yielded as one last block whose ``rows`` is the index
-        array of their rows, so their final values overwrite the first ones.
-        """
-        d, n_far = self.dim, self.n_far
-        x_near, y_near = self.near
-        n_near = len(x_near)
-        n = n_near + n_far
-        step = max(1, _BLOCK_ENTRIES // d)
-        xbuf, ybuf, dbuf = np.empty((3, min(step, n), d))
-        floor = MIN_SEPARATION * self._r
-        close = []  # (rows, xs, ys) of the too-close far pairs, in order
-        for start in range(0, n, step):
-            rows = slice(start, min(start + step, n))
-            m = rows.stop - start
-            xs, ys, diffs = xbuf[:m], ybuf[:m], dbuf[:m]
-            k = min(m, max(0, n_near - start))  # near rows in the block
-            xs[:k] = x_near[start : start + k]
-            ys[:k] = y_near[start : start + k]
-            if k < m:
-                i = start + k - n_near  # the block's first far row, counted from 0
-                self._fill(xs[k:], i * d)
-                self._fill(ys[k:], (n_far + i) * d)
-            dists = _distances(np.subtract(xs, ys, out=diffs))
-            if (dists[k:] < floor).any():
-                bad = k + np.flatnonzero(dists[k:] < floor)
-                close.append((start + bad, xs[bad], ys[bad]))
-            yield rows, xs, ys, diffs, dists
-        if not close:
-            return
-
-        rows, xs, ys = (np.concatenate(parts) for parts in zip(*close))
-        while True:
-            bad = _distances(xs - ys) < floor
-            if not bad.any():
-                break
-            new = np.empty((2, int(bad.sum()), d))
-            self._fill(new[0], self._pos)
-            self._fill(new[1], self._pos)
-            xs[bad], ys[bad] = new
-        self._redrawn = dict(zip(rows.tolist(), zip(xs, ys)))
-        yield rows, *_with_distances(xs, ys)
-
-    def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row ``i``'s final (x, y), as new 1-D arrays, once ``blocks`` is done.
-
-        A near row or a redrawn row is read from its arrays; any other far row
-        kept its first draw, so it is drawn again at its stream positions.
-        """
-        x_near, y_near = self.near
-        if i < len(x_near):
-            return x_near[i].copy(), y_near[i].copy()
-        if i in self._redrawn:
-            x, y = self._redrawn[i]
-            return x.copy(), y.copy()
-        j = i - len(x_near)
-        x, y = np.empty(self.dim), np.empty(self.dim)
-        self._fill(x, j * self.dim)
-        self._fill(y, (self.n_far + j) * self.dim)
-        return x, y
+    rows, xs, ys = (np.concatenate(parts) for parts in zip(*close))
+    rng.bit_generator.advance(skip)  # to the stream's end, past the last far y
+    while True:
+        bad = _distances(xs - ys) < floor
+        if not bad.any():
+            break
+        new = np.empty((2, int(bad.sum()), dim))
+        _fill_uniform(rng, new, r)
+        xs[bad], ys[bad] = new
+    yield rows, *_with_distances(xs, ys), rows[:0]
 
 
 def _distances(diffs: np.ndarray) -> np.ndarray:
@@ -453,28 +419,39 @@ def verify_condition(
 
     Each row block of the sampler's stream is scored in the buffers it was
     drawn into, max(1, 2**15 // d) rows at a time, so no (count, d) pair
-    array exists: the check holds the near pairs, one block's temporaries
-    and the ratio vector. In l2 the far rows' distances from the rejection
-    test are the right-hand side. The redrawn rows come last, and their
-    ratios overwrite those of their first draws. Every ratio, and so the
-    report, is the same as in one whole-batch pass; the witness is the final
-    pair of the row ``np.argmax`` picks, read from the near arrays or the
-    redrawn rows, or drawn again at its stream positions. Raises
-    ParameterOutOfRange for a b or a ``slack`` that is not a finite number
-    >= 0.
+    array exists: the check holds the near pairs and one block's
+    temporaries. In l2 the far rows' distances from the rejection test are
+    the right-hand side. As each block is scored, its best row is compared
+    with the best so far and its pair copied when it wins, as ``np.argmax``
+    over every row would pick: the larger ratio, the lower row on a tie. A
+    too-close far pair's first draw never counts, since its redraw is scored
+    in the last block. Every ratio, and so the report, is the same as in one
+    whole-batch pass. Raises ParameterOutOfRange for a b or a ``slack`` that
+    is not a finite number >= 0.
     """
     b, slack = _as_b(b), _as_slack(slack)
     kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
     sampler = sampler if sampler is not None else PairSampler()
-    stream = _PairStream(sampler, mapping.dim)
     apply = _compile(mapping)
     factor = _factor(b, kind)
-    ratios = np.empty(sampler.count)
-    for rows, xs, ys, diffs, dists in stream.blocks():
-        ratios[rows] = _score(apply, b, factor, norm_kind, xs, ys, diffs, dists)
-    idx = int(np.argmax(ratios))  # first index on ties
-    witness_x, witness_y = stream.pair(idx)
-    return EnrichmentReport(kind, b, sampler.count, float(ratios[idx]), witness_x, witness_y, slack)
+    best = None  # (ratio, row, x, y) of the pick so far
+    for rows, xs, ys, diffs, dists, redrawn in _pair_blocks(sampler, mapping.dim):
+        ratios = _score(apply, b, factor, norm_kind, xs, ys, diffs, dists)
+        ratios[redrawn] = -np.inf  # their redraws are scored in the last block
+        j = int(np.argmax(ratios))  # first index on ties
+        ratio = ratios[j]
+        row = rows.start + j if isinstance(rows, slice) else int(rows[j])
+        if best is None or (
+            _first_wins(ratio, best[0]) if row < best[1] else not _first_wins(best[0], ratio)
+        ):
+            best = ratio, row, xs[j].copy(), ys[j].copy()
+    ratio, _, witness_x, witness_y = best
+    return EnrichmentReport(kind, b, sampler.count, float(ratio), witness_x, witness_y, slack)
+
+
+def _first_wins(first: float, then: float) -> bool:
+    """Whether ``np.argmax([first, then])`` is 0: ``first`` is NaN or at least ``then``."""
+    return first != first or first >= then
 
 
 def _box_parts(A: np.ndarray, norm_kind: NormKind) -> tuple[np.ndarray, np.ndarray]:

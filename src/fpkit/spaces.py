@@ -64,20 +64,29 @@ def as_float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+# numpy takes these as numbers, but they are not: it parses a string or bytes,
+# and reads a bool as 0 or 1.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
 def _float_array(x, name: str) -> np.ndarray:
     """``x`` as a float64 array, without a copy when it is one already.
 
     InvariantViolation naming ``name`` when ``x`` is not an array of numbers,
     or holds an integer past the float range, on which numpy raises
-    OverflowError. A string or bytes is not a number, although numpy would
-    parse one: arrays of them are refused, and so is an object array (such
-    as a list of Decimals, which is taken) holding one. Entries are not
-    checked for finiteness.
+    OverflowError. Strings, bytes and bools are not numbers, although numpy
+    would take them: a string or bool array is refused, and so is a sequence
+    or an object array (such as a list of Decimals, which is taken) holding
+    one at any depth, since numpy reads a sequence that mixes bools with
+    numbers as numbers. A numeric ndarray is taken as it is; any other input
+    has its leaves' types read. Entries are not checked for finiteness.
     """
     try:
         a = np.asarray(x)
-        if a.dtype.kind in "biuf" or (
-            a.dtype.kind == "O" and not any(isinstance(e, (str, bytes)) for e in a.flat)
+        if a.dtype.kind in "iuf" and a is x:  # a numeric ndarray
+            return a.astype(float, copy=False)
+        if a.dtype.kind in "iufO" and not any(
+            issubclass(t, _NOT_NUMBERS) for t in set(map(type, np.asarray(x, dtype=object).flat))
         ):
             return a.astype(float, copy=False)
     except (TypeError, ValueError):

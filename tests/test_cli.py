@@ -93,6 +93,16 @@ def test_verify_summary_is_strict_json_with_null_for_inf(tmp_path, write_config)
     assert summary["report"]["passed"] is False
 
 
+def test_solve_summary_writes_null_for_an_infinite_residual(tmp_path, write_config):
+    # The averaged step lands on 5e299, where T overflows: residual_T is inf.
+    cfg = write_config({"mapping": {"kind": "affine", "matrix": [[1e300]], "offset": [0.0]},
+                        "b": 1.0, "x0": [1.0]})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_SCHEME_FAILURE
+    summary = strict_loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert summary["residual_T"] is None
+
+
 def test_iterate_picard_divergence(tmp_path, write_config):
     cfg = write_config({"mapping": DEMO_MAPPING, "scheme": "picard", "x0": [0.0]})
     assert main(["iterate", "--config", cfg, "--out", str(tmp_path / "i")]) == EXIT_SCHEME_FAILURE
@@ -142,6 +152,7 @@ def test_missing_or_foreign_fields_are_config_errors(tmp_path, write_config, cap
     # any directory it made would show.
     monkeypatch.chdir(tmp_path)
     out = ["--out", str(tmp_path / "o")]
+    half = {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [1.0, 1.0]}
     for command, doc, args, message in (
         ("iterate", {"mapping": DEMO_MAPPING, "scheme": "verify", "b": 3.0, "kind": "modified"},
          out, "scheme: iterate expects picard or krasnoselskij, got 'verify'"),
@@ -149,6 +160,17 @@ def test_missing_or_foreign_fields_are_config_errors(tmp_path, write_config, cap
         ("min-b", {"mapping": DEMO_MAPPING}, out, "kind: required for scheme min_b"),
         ("solve", {"mapping": DEMO_MAPPING, "b": 3.0, "x0": [0.0]}, [],
          "output_dir: required (set it in the config or pass out_dir)"),
+        # JSON booleans in x0 are not numbers, alone or mixed with numbers.
+        ("solve", {"mapping": DEMO_MAPPING, "b": 3.0, "x0": [True]}, out,
+         "x0: expected an array of numbers"),
+        ("iterate", {"mapping": half, "scheme": "picard", "x0": [True, 0.5]}, out,
+         "x0: expected an array of numbers"),
+        ("bench", {"family": [half], "schemes": [{"scheme": "picard"}], "x0": [0.5, False]}, out,
+         "x0: expected an array of numbers"),
+        ("solve", {"mapping": DEMO_MAPPING, "b": 3.0}, [*out, "--x0", "1,abc"],
+         "x0: cannot parse '1,abc' as a comma-separated vector"),
+        ("min-b", {"mapping": {"kind": "box_projection", "lo": [0.0], "hi": [1.0]}, "kind": "modified"}, out,
+         "mapping: scheme min_b needs an affine-representable mapping"),
     ):
         cfg = write_config(doc)
         assert main([command, "--config", cfg, *args]) == EXIT_CONFIG, command

@@ -211,8 +211,7 @@ def test_redraws_match_the_reference_bit_for_bit(monkeypatch):
     # in the sparse ones a few blocks hold one too-close pair. A block budget
     # of 2**10 entries spreads each sample over 4 blocks, and the last case
     # keeps the real budget. Blocks with too-close pairs, the redraws from the
-    # stream's end, the witnesses and every row's pair read once the stream
-    # is done must equal one whole draw's bits.
+    # stream's end and the witnesses must equal one whole draw's bits.
     checks = 0
     cases = [  # (d, count, block budget, separation, dense)
         (1, 3500, 2**10, 0.2, True),
@@ -241,11 +240,6 @@ def test_redraws_match_the_reference_bit_for_bit(monkeypatch):
             xs, ys = sampler.draw(d)
             np.testing.assert_array_equal(xs, ref_xs)
             np.testing.assert_array_equal(ys, ref_ys)
-            stream = enrichment._PairStream(sampler, d)
-            for _ in stream.blocks():
-                pass
-            pairs = np.array([stream.pair(i) for i in range(count)])
-            np.testing.assert_array_equal(pairs, np.stack([ref_xs, ref_ys], axis=1))
 
             rng = np.random.default_rng(seed)
             mapping = fp.Affine(rng.standard_normal((d, d)), rng.standard_normal(d))
@@ -680,6 +674,43 @@ def test_min_b_bisects_where_the_closed_form_has_no_answer():
     b = fp.min_b_affine(A, kind, norm_kind)
     assert b == pytest.approx(1.0, abs=B_TOL)
     assert _kernel_gap(A, kind, norm_kind, b) <= 0.0 < _kernel_gap(A, kind, norm_kind, b - B_TOL)
+
+
+def test_min_b_repairs_a_closed_form_the_kernel_refuses(monkeypatch):
+    # sqrt(2) times a rotation by pi/4: ||bI + A||_2 = sqrt((b + 1)^2 + 1)
+    # exceeds b + 1 at every b. 2I - (A + A^T) = 0 while A^T A - I = I is not
+    # 0 on its null space, so the closed form finds no b, and the kernel's gap
+    # reads about +5e-7 at B_CAP.
+    kind, norm_kind = fp.ConditionKind.ENRICHED, fp.NormKind.L2
+    A = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    assert enrichment._enriched_least(A, norm_kind) == math.inf
+    assert fp.min_b_affine(A, kind, norm_kind) is None
+    assert _kernel_gap(A, kind, norm_kind, fp.B_CAP) > 0.0
+    # A closed form that finds a b where none is feasible: the steps up from
+    # it reach B_CAP refused, and the answer is still None.
+    monkeypatch.setattr(enrichment, "_enriched_least", lambda A, norm_kind: 0.25)
+    assert fp.min_b_affine(A, kind, norm_kind) is None
+    monkeypatch.undo()
+    # Closed forms 0.1 below the least b (0.5 for [[-2]], 1 for diag(0.5, -3))
+    # are refused: the steps up and the bisection find the least b to within
+    # B_TOL, and the kernel accepts it.
+    least = enrichment._enriched_least
+    monkeypatch.setattr(enrichment, "_enriched_least", lambda A, norm_kind: least(A, norm_kind) - 0.1)
+    for A, want in ((np.array([[-2.0]]), 0.5), (np.diag([0.5, -3.0]), 1.0)):
+        b = fp.min_b_affine(A, kind, norm_kind)
+        assert b == pytest.approx(want, abs=B_TOL), A
+        assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
+    monkeypatch.undo()
+    # So is a modified lower end 0.3 below the least b, 1 for [[-2]].
+    kind, A = fp.ConditionKind.MODIFIED, np.array([[-2.0]])
+    interval = enrichment._modified_interval
+    monkeypatch.setattr(
+        enrichment, "_modified_interval",
+        lambda A, norm_kind: (interval(A, norm_kind)[0] - 0.3, interval(A, norm_kind)[1]),
+    )
+    b = fp.min_b_affine(A, kind, norm_kind)
+    assert b == pytest.approx(1.0, abs=B_TOL)
+    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.7, 1.1, 1.5, 2.0, 2.5, 3.0])

@@ -266,11 +266,15 @@ def test_family_validation():
 
 
 def test_family_singular_values_must_be_real_numbers():
-    # Strings and bytes are refused although numpy would parse them, and a
-    # complex array is refused rather than cut to its real part.
+    # Strings and bytes are refused although numpy would parse them, booleans
+    # although numpy reads them as 0 and 1, and a complex array rather than
+    # cut to its real part.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for values in (["0.5", 0.25], [b"0.5", 0.25], np.array([0.5, 0.25j]), "ab", [[0.5, 0.25]]):
+        for values in (
+            ["0.5", 0.25], [b"0.5", 0.25], np.array([0.5, 0.25j]), "ab", [[0.5, 0.25]],
+            [True, 0.5], [0.5, np.False_], np.array([True, False]),
+        ):
             with pytest.raises(fp.ParameterOutOfRange, match="^singular_values: must be a list"):
                 fp.generate_affine_family(1, 2, values, 1)
         with pytest.raises(fp.ParameterOutOfRange, match="^singular_values: must be finite and >= 0$"):

@@ -636,6 +636,14 @@ def test_solve_demo_map():
     assert res.residual_T <= 1e-7
 
 
+def test_solve_residual_past_the_float_range_reads_inf():
+    # One averaged step lands on 5e299, where T overflows: the run ends
+    # diverged, and residual_T, which evaluates T there, reads inf.
+    res = fp.solve_modified(fp.line_map(1e300, 0.0), 1.0, [1.0])
+    assert res.trace.status is fp.Status.DIVERGED
+    assert res.residual_T == math.inf
+
+
 def test_solve_scaled_example_map():
     res = fp.solve_modified(fp.scaling_map(-1.0), 2.0, [5.0])
     assert res.fixed_point[0] == pytest.approx(0.0, abs=1e-9)

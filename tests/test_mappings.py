@@ -36,6 +36,8 @@ def test_evaluate_identity_and_box():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fp.evaluate(T_LINE, [1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match=r"of dimension 2 applied to batch of shape \(3, 3\)"):
+        fp.evaluate_many(fp.Identity(2), np.zeros((3, 3)))
 
 
 def test_evaluate_overflow_is_flagged():
@@ -358,6 +360,18 @@ def test_non_numeric_fields_are_invariant_violations():
         (lambda: fp.evaluate_many(fp.Identity(1), [["1.5"], ["2"]]), "^xs: expected an array of numbers"),
         (lambda: fp.evaluate_many(fp.Identity(1), np.array([[b"1"]])), "^xs: expected an array of numbers"),
         (lambda: fp.operator_norm(np.array([["1.0"]])), "^matrix: expected an array of numbers"),
+        # Booleans are not numbers either, although numpy reads them as 0 and
+        # 1, in a bool array and mixed with numbers at any depth.
+        (lambda: fp.Affine([[True]], [False]), "^matrix: expected an array of numbers"),
+        (lambda: fp.Affine([[1.0]], [False]), "^offset: expected an array of numbers"),
+        (lambda: fp.BoxProjection([0.0, False], [1.0, 1.0]), "^lo: expected an array of numbers"),
+        (lambda: fp.norm([True, False]), "^vector: expected an array of numbers"),
+        (lambda: fp.norm([0.5, np.True_]), "^vector: expected an array of numbers"),
+        (lambda: fp.norm([Decimal("1.5"), True]), "^vector: expected an array of numbers"),
+        (lambda: fp.norm([np.array([True, False]), [0.5, 1.0]]), "^vector: expected an array of numbers"),
+        (lambda: fp.evaluate(fp.Identity(1), [True]), "^x: expected an array of numbers"),
+        (lambda: fp.evaluate_many(fp.Identity(2), [[0.5, 1.0], [2.0, True]]), "^xs: expected an array of numbers"),
+        (lambda: fp.operator_norm(np.eye(2, dtype=bool)), "^matrix: expected an array of numbers"),
     ):
         with pytest.raises(InvariantViolation, match=match):
             call()
@@ -426,6 +440,18 @@ def test_constructor_validation():
         fp.Composition((fp.Identity(1), fp.Identity(2)))
     with pytest.raises(InvariantViolation):
         fp.LinearCombinationWithIdentity(float("nan"), 1.0, fp.Identity(1))
+    for call, match in (
+        (lambda: fp.Affine(np.eye(2), [1.0]), "^offset: length 1 does not match matrix dimension 2$"),
+        (lambda: fp.BoxProjection([0.0], [1.0, 2.0]), "^lo/hi: bounds must have equal length$"),
+        (lambda: fp.LinearCombinationWithIdentity(0.5, 0.5, "x"), "^base: expected a Mapping$"),
+        (lambda: fp.Composition(()), "^stages: must not be empty$"),
+        (lambda: fp.Composition((fp.Identity(1), 3)), r"^stages\[1\]: expected a Mapping$"),
+        (lambda: fp.Identity(fp.DIM_CAP + 1), rf"^dim: must be in \[1, {fp.DIM_CAP}\]$"),
+    ):
+        with pytest.raises(InvariantViolation, match=match):
+            call()
+    # A mapping equals only a mapping.
+    assert (fp.Identity(1) == 1) is False
 
 
 # --- parsing and serialization ---
@@ -476,6 +502,22 @@ class TestParseMapping:
     def test_invariant_violation_reports_path(self):
         with pytest.raises(InvariantViolation, match=r"\$\.lo"):
             fp.parse_mapping({"kind": "box_projection", "lo": [1.0], "hi": [0.0]})
+
+    def test_layout_and_value_errors_name_their_path(self):
+        affine = {"kind": "affine", "offset": [0.0]}
+        for doc, error, message in (
+            ({"kind": "composition", "stages": [5]}, SchemaError, "$.stages[0]: expected an object, got int"),
+            ({}, SchemaError, "$.kind: missing field"),
+            ({"kind": "identity", "dim": 1.5}, SchemaError, "$.dim: expected an integer"),
+            ({"kind": "box_projection", "lo": [], "hi": [1.0]}, SchemaError,
+             "$.lo: expected a non-empty array of numbers"),
+            ({**affine, "matrix": []}, SchemaError, "$.matrix: expected a non-empty array of rows"),
+            ({**affine, "matrix": [[1.0, 0.0]]}, InvariantViolation, "$.matrix: matrix must be square"),
+            ({"kind": "composition", "stages": {}}, SchemaError, "$.stages: expected an array"),
+        ):
+            with pytest.raises(error) as caught:
+                fp.parse_mapping(doc)
+            assert type(caught.value) is error and str(caught.value) == message
 
     def test_booleans_are_not_numbers(self):
         with pytest.raises(SchemaError):

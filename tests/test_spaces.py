@@ -216,3 +216,5 @@ def test_vector_and_matrix_validation():
         fp.operator_norm(np.ones((2, 3)))
     with pytest.raises(InvariantViolation):
         fp.operator_norm(np.full((2, 2), np.inf))
+    with pytest.raises(InvariantViolation, match=f"^matrix: dimension {fp.DIM_CAP + 1} exceeds cap {fp.DIM_CAP}$"):
+        fp.operator_norm(np.eye(fp.DIM_CAP + 1))
