@@ -179,12 +179,14 @@ class PairSampler:
                 raise ParameterOutOfRange(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 <= self.near_pair_fraction <= 1.0:
             raise ParameterOutOfRange("near_pair_fraction must lie in [0, 1]")
-        # Uniform draws scale by the box's width 2r, which must be finite, and
-        # near pairs by separations from 1e-4 r, which must not round to 0.
+        # Uniform draws scale by the box's width 2r, which must be finite. Far
+        # pairs closer than MIN_SEPARATION * r are redrawn, so that floor must
+        # not round to 0, or x = y pairs would be scored; it is below 1e-4 r,
+        # the least near-pair separation, which so stays above 0 too.
         r = as_float(self.box_radius)
-        if not 1e-4 * r > 0.0 or not math.isfinite(2.0 * r):
+        if not MIN_SEPARATION * r > 0.0 or not math.isfinite(2.0 * r):
             raise ParameterOutOfRange(
-                f"box_radius must keep 1e-4*box_radius > 0 and 2*box_radius finite, "
+                f"box_radius must keep {MIN_SEPARATION}*box_radius > 0 and 2*box_radius finite, "
                 f"got {self.box_radius!r}"
             )
 

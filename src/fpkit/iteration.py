@@ -15,6 +15,7 @@ geometrically to the unique fixed point of T from any starting point.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -451,13 +452,30 @@ def _trace_csv(trace: IterationTrace | None) -> str:
     ])
 
 
+def _without_truncation(path, flags: int) -> int:
+    """``os.open`` with ``open``'s flags less ``O_TRUNC`` (see _write_artifact)."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_artifact(path, text: str, what: str) -> None:
     """Write ``text`` to the file ``path``, replacing it: the one place the
     package writes an artifact. Raises IoError naming ``what`` and ``path``
-    (``cannot write <what> <path>: <reason>``) when it cannot."""
+    (``cannot write <what> <path>: <reason>``) when it cannot.
+
+    A file that already exists is overwritten in place and then cut to the
+    new text's length; nothing is fsynced, and an overwrite carries no
+    crash-atomicity promise (a crash may leave old and new bytes mixed, as
+    a crash after "w"'s truncation left an empty or short file). The opener
+    drops ``O_TRUNC`` because on ext4 closing a file that was truncated to
+    zero starts its writeback (the ``auto_da_alloc`` heuristic): replacing
+    a file of the same size cost 63 us at 20 B and 340 us at 500 KB with
+    "w", and 10-41 us written over and cut (medians, shared 2-core host,
+    ext4). A new file costs 3-5 us more than with "w", the ``truncate``.
+    """
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", opener=_without_truncation) as fh:
             fh.write(text)
+            fh.truncate()
     except (OSError, ValueError) as e:
         raise IoError(f"cannot write {what} {path}: {e}") from e
 

@@ -79,16 +79,22 @@ def _float_array(x, name: str) -> np.ndarray:
     or an object array (such as a list of Decimals, which is taken) holding
     one at any depth, since numpy reads a sequence that mixes bools with
     numbers as numbers. A numeric ndarray is taken as it is; any other input
-    has its leaves' types read. Entries are not checked for finiteness.
+    has its leaves' types read, and a 0-d array among them (such as
+    ``np.array(True)`` in a list) is read by its item. Entries are not
+    checked for finiteness.
     """
     try:
         a = np.asarray(x)
         if a.dtype.kind in "iuf" and a is x:  # a numeric ndarray
             return a.astype(float, copy=False)
-        if a.dtype.kind in "iufO" and not any(
-            issubclass(t, _NOT_NUMBERS) for t in set(map(type, np.asarray(x, dtype=object).flat))
-        ):
-            return a.astype(float, copy=False)
+        if a.dtype.kind in "iufO":
+            leaves = np.asarray(x, dtype=object)
+            types = set(map(type, leaves.flat))
+            if any(issubclass(t, np.ndarray) for t in types):
+                # numpy keeps a 0-d array inside a sequence as a leaf: read its item.
+                types.update(type(v.item()) for v in leaves.flat if isinstance(v, np.ndarray))
+            if not any(issubclass(t, _NOT_NUMBERS) for t in types):
+                return a.astype(float, copy=False)
     except (TypeError, ValueError):
         pass
     except OverflowError:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -510,3 +511,66 @@ def test_gen_and_bench_reruns_are_byte_identical(tmp_path, write_config):
         for out in runs:
             assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (runs[0] / artifact).read_bytes() == (runs[1] / artifact).read_bytes()
+
+
+def run_bytes(out):
+    """Every file of the run directory ``out`` by name, as bytes, with
+    summary.json's ``wall_time`` value masked: the one field a rerun moves."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    if "summary.json" in files:
+        files["summary.json"] = re.sub(rb'"wall_time": [^,]*,', b'"wall_time": _,', files["summary.json"])
+    return files
+
+
+def test_a_shorter_rerun_into_the_same_directory_leaves_no_stale_tail(tmp_path, write_config):
+    # Each artifact is overwritten in place and cut to its new length, so a
+    # run that writes fewer bytes than the one before holds exactly its own.
+    slow = write_config(
+        {"mapping": DEMO_MAPPING, "scheme": "krasnoselskij", "lambda": 0.01, "x0": [0.0]}, "slow.json"
+    )
+    gen8 = write_config({"dim": 8, "singular_values": [0.5] * 8, "count": 3, "seed": 4}, "gen8.json")
+    gen2 = write_config({"dim": 2, "singular_values": [0.5, 0.25], "count": 3, "seed": 4}, "gen2.json")
+    for (long_argv, long_code), (short_argv, short_code) in (
+        ((["iterate", "--config", slow], EXIT_OK),
+         (["iterate", "--config", slow, "--max-iter", "3"], EXIT_SCHEME_FAILURE)),
+        ((["gen", "--config", gen8], EXIT_OK), (["gen", "--config", gen2], EXIT_OK)),
+    ):
+        same, fresh = tmp_path / f"{long_argv[0]}-same", tmp_path / f"{long_argv[0]}-fresh"
+        assert main([*long_argv, "--out", str(same)]) == long_code
+        before = run_bytes(same)
+        assert main([*short_argv, "--out", str(same)]) == short_code
+        assert main([*short_argv, "--out", str(fresh)]) == short_code
+        after = run_bytes(same)
+        assert after == run_bytes(fresh)
+        assert any(len(after[name]) < len(before[name]) for name in after)
+
+
+@pytest.mark.parametrize("command", UNWRITABLE)
+def test_a_rerun_into_the_same_directory_leaves_the_fresh_bytes(tmp_path, write_config, command):
+    doc, _, _ = UNWRITABLE[command]
+    cfg = write_config(doc)
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    for out in (same, same, fresh):
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert run_bytes(same) == run_bytes(fresh)
+
+
+def test_sampler_boxes_whose_redraw_floor_rounds_to_zero_are_config_errors(
+    tmp_path, write_config, capsys
+):
+    # Far pairs closer than MIN_SEPARATION * box_radius are redrawn; below
+    # about 2.48e-310 that floor is 0 and x = y pairs would be scored. Each
+    # such box exits 2 with one message and no output directory.
+    for box_radius in (0.0, 5e-320, 2.5e-320):
+        for command, doc in (
+            ("verify", {"mapping": DEMO_MAPPING, "b": 3.0, "kind": "enriched"}),
+            ("solve", {"mapping": DEMO_MAPPING, "b": 3.0, "x0": [0.0], "verify": True}),
+        ):
+            cfg = write_config({**doc, "sampler": {"box_radius": box_radius}})
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err == (
+                "config error: sampler: box_radius must keep 1e-14*box_radius > 0 and "
+                f"2*box_radius finite, got {box_radius!r}\n"
+            ), err
+            assert not (tmp_path / "o").exists()

@@ -148,8 +148,10 @@ def test_sampler_validation():
         fp.PairSampler(near_pair_fraction=1.5)
     with pytest.raises(ParameterOutOfRange):
         fp.PairSampler(box_radius=0.0)
-    # Uniform draws scale by 2 * box_radius, which must be finite.
-    for r in (1e308, float(np.finfo(float).max)):
+    # Uniform draws scale by 2 * box_radius, which must be finite, and far
+    # pairs closer than MIN_SEPARATION * box_radius are redrawn, which must
+    # not round to 0.
+    for r in (1e308, float(np.finfo(float).max), 5e-320, 2.5e-320):
         with pytest.raises(ParameterOutOfRange, match="box_radius"):
             fp.PairSampler(box_radius=r)
     fp.PairSampler(box_radius=8e307)

@@ -369,6 +369,9 @@ def test_non_numeric_fields_are_invariant_violations():
         (lambda: fp.norm([0.5, np.True_]), "^vector: expected an array of numbers"),
         (lambda: fp.norm([Decimal("1.5"), True]), "^vector: expected an array of numbers"),
         (lambda: fp.norm([np.array([True, False]), [0.5, 1.0]]), "^vector: expected an array of numbers"),
+        # numpy keeps a 0-d array inside a list as a leaf, whatever it holds.
+        (lambda: fp.norm([np.array(True), 0.5]), "^vector: expected an array of numbers"),
+        (lambda: fp.norm([np.array(True, dtype=object), 0.5]), "^vector: expected an array of numbers"),
         (lambda: fp.evaluate(fp.Identity(1), [True]), "^x: expected an array of numbers"),
         (lambda: fp.evaluate_many(fp.Identity(2), [[0.5, 1.0], [2.0, True]]), "^xs: expected an array of numbers"),
         (lambda: fp.operator_norm(np.eye(2, dtype=bool)), "^matrix: expected an array of numbers"),
@@ -378,6 +381,7 @@ def test_non_numeric_fields_are_invariant_violations():
     # numpy scalars are numbers, and so are Decimals.
     assert fp.norm([Decimal(3), Decimal("4.0")]) == 5.0
     assert fp.Identity(np.int64(2)).dim == 2
+    assert fp.norm([np.array(3.0), np.array(4)]) == 5.0
     assert fp.line_map(np.float64(2.0), np.int32(1)) == fp.line_map(2.0, 1.0)
 
 
