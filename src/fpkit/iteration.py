@@ -373,7 +373,9 @@ def apriori_iterations(lam: float, d1: float, eps: float) -> int:
 
     This is the classical a-priori contraction estimate with d1 = ||x_1 - x_0||:
     after n steps the error is at most lam^n/(1-lam) * d1. Returns 0 when
-    d1 = 0 (the start is already fixed).
+    d1 = 0 (the start is already fixed). The bound is tested with no
+    underflow, so any finite d1 and eps give the least count, a subnormal
+    eps or a ratio d1/eps past the float range included.
     """
     lam = _as_lam(lam)
     if not (is_number(d1) and 0.0 <= as_float(d1) < math.inf):
@@ -381,16 +383,28 @@ def apriori_iterations(lam: float, d1: float, eps: float) -> int:
     if not (is_number(eps) and eps > 0.0):
         raise ParameterOutOfRange(f"eps must be positive, got {eps!r}")
     d1, eps = float(d1), as_float(eps)
-    if d1 == 0.0:
+    if d1 == 0.0 or eps == math.inf:
         return 0
+    # lam = m * 2**e with 0.5 <= m < 1; m**chunk >= 2**-1000 is a normal float.
+    (m, e), eps_key = math.frexp(lam), math.frexp(eps)[::-1]
+    chunk = int(-1000 / math.log2(m))
 
     def bound_ok(n: int) -> bool:
-        return lam**n * d1 / (1.0 - lam) <= eps
+        # lam**n * d1 / (1 - lam) <= eps with each value carried as (exponent,
+        # mantissa), so that nothing underflows or overflows. Where
+        # lam**n >= 2**-1000 the product and quotient round as the float
+        # expression's do.
+        v, ve = math.frexp(d1)
+        for k in [chunk] * (n // chunk) + [n % chunk]:
+            v, s = math.frexp(v * m**k)
+            ve += s
+        v, s = math.frexp(v / (1.0 - lam))
+        return (ve + s + e * n, v) <= eps_key
 
     if bound_ok(0):
         return 0
-    # Closed form, then a local fix-up against float rounding of log/pow.
-    n = max(0, math.ceil(math.log(eps * (1.0 - lam) / d1) / math.log(lam)))
+    # Closed form in logs, then a local fix-up against float rounding.
+    n = max(0, math.ceil((math.log(eps) + math.log(1.0 - lam) - math.log(d1)) / math.log(lam)))
     while n > 0 and bound_ok(n - 1):
         n -= 1
     while not bound_ok(n):

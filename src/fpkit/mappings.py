@@ -15,11 +15,21 @@ of a linear combination, the stages of a composition. Each node fixes its
 ``dim`` when it is built. Every other job that walks a tree is a rule over
 one walk: ``_postorder`` lists the nodes children first with an explicit
 stack, and ``_fold`` applies a rule at each node to its children's values.
-So evaluation, ``as_affine``, ``collapse``, ``serialize_mapping``, ``==``
-and ``repr`` take trees of any depth. ``_KINDS`` holds each kind's JSON
-layout once, and parsing, serialization and ``==`` read it. Only the parser
-recurses, one frame per level, and it reports a document nested past
-Python's recursion limit as a SchemaError.
+So evaluation, ``as_affine``, ``collapse``, ``piece_at``,
+``serialize_mapping``, ``==`` and ``repr`` take trees of any depth.
+
+How a composition orders its stages and how a linear combination mixes is
+said once, by ``_program``: its fold is the tree's flat program, the leaves
+in the order they act, with ``None`` before a linear combination's base
+(save the input) and ``(alpha, beta)`` after it (mix). ``_compile`` turns
+that list into the evaluator, and ``_walk`` carries the value, the linear
+part and the offset along it: ``as_affine`` is the walk with no point, and
+``piece_at(m, x)`` the walk at ``x``, which returns the affine piece of a
+box tree there and the margin within which it holds.
+
+``_KINDS`` holds each kind's JSON layout once, and parsing, serialization
+and ``==`` read it. Only the parser recurses, one frame per level, and it
+reports a document nested past Python's recursion limit as a SchemaError.
 """
 
 from __future__ import annotations
@@ -206,7 +216,7 @@ def _repr_tokens(node: Mapping, kids: list) -> deque:
     """``__repr__``'s rule: the node's dataclass form as a deque of strings.
 
     The first child's deque is extended in place at both ends, as
-    ``_program`` extends its first child's ops, so a chain of any depth
+    ``_program`` extends its first child's steps, so a chain of any depth
     costs time in proportion to its length.
     """
     tokens = [f"{type(node).__name__}("]  # with None where a child goes
@@ -273,16 +283,16 @@ def _finite(f, x: np.ndarray) -> np.ndarray:
 def _compile(m: Mapping):
     """One function that applies ``m`` to a vector, or to each row of a batch.
 
-    The tree is folded once, here, into a flat program that runs without
-    nested calls. A leaf is one op, a function of the current value. A linear
-    combination whose base is a run of leaf ops (a leaf, or a composition of
-    leaves) becomes one fused op, which applies the run and then mixes. Any
-    other linear combination saves its input (``None``) before its base's ops
-    and ends with a mix ``(alpha, beta)`` of the saved input and the base's
-    image. A fused op is never fused again, so no op calls another. A
-    composition runs its stages' ops in turn. Saved inputs sit on a stack, so
-    a run holds one per enclosing linear combination, not every intermediate
-    value. A one-op program is that op itself.
+    It reads the tree's flat program (``_program``) once and runs without
+    nested calls. Each leaf becomes one op, a function of the current value.
+    A save, a run of leaf ops and its mix (a linear combination whose base is
+    a leaf, or a composition of leaves) become one fused op, which applies
+    the run and then mixes. Any other save (``None``) and mix ``(alpha,
+    beta)`` stay: the save stacks the current value and the mix combines it
+    with the base's image. A fused op is never fused again, so no op calls
+    another, and a run holds one saved input per enclosing linear
+    combination, not every intermediate value. A one-op program is that op
+    itself.
 
     Each op does the arithmetic of applying its node directly, so the bits are
     those. A mix is ``alpha * x + beta * y`` with the coefficients held as 0-d
@@ -297,7 +307,20 @@ def _compile(m: Mapping):
     there and returns it. Without ``out`` it returns a new array. It never
     returns or changes its argument.
     """
-    ops, _ = _fold(m, _program)
+    ops, saves = [], []
+    for step in _fold(m, _program):
+        if step is None:
+            latest = len(ops)  # a mix that pops the latest save has only leaf ops in its base
+            saves.append(latest)
+            ops.append(None)
+        elif type(step) is tuple:
+            start, (a, b) = saves.pop(), map(np.array, step)
+            if start == latest:
+                ops[start:] = [_fused(ops[start + 1:], a, b)]
+            else:
+                ops.append((a, b))
+        else:
+            ops.append(_op(step))
     if len(ops) == 1:
         return ops[0]
     *body, last = ops
@@ -318,34 +341,38 @@ def _compile(m: Mapping):
     return run
 
 
-def _program(node: Mapping, kids: list) -> tuple[deque, bool]:
-    """``_compile``'s rule: the ops that apply ``node``, and whether they
-    are all leaf ops."""
+def _program(node: Mapping, kids: list) -> deque:
+    """The flat program of ``node``, the one encoding of how a tree combines
+    its children: its leaves in the order they act, with ``None`` before a
+    linear combination's base (save the input) and ``(alpha, beta)`` after
+    it (mix the saved input with the base's image)."""
     match node:
-        case Identity():
-            return deque([_copy]), True
-        case Affine(matrix=A, offset=c):
-            return deque([_affine(A.T, c)]), True
-        case Rotation():
-            Rt = node.matrix().T
-            return deque([lambda x, out=None: x.dot(Rt, out)]), True
-        case BoxProjection(lo=lo, hi=hi):
-            return deque([lambda x, out=None: x.clip(lo, hi, out)]), True
         case LinearCombinationWithIdentity(alpha=a, beta=b):
-            ops, leaves = kids[0]  # the children's deques are this fold's own to extend
-            a, b = np.array(a), np.array(b)
-            if leaves:
-                return deque([_fused(ops, a, b)]), False
-            ops.appendleft(None)
-            ops.append((a, b))
-            return ops, False
+            steps = kids[0]  # the children's deques are this fold's own to extend
+            steps.appendleft(None)
+            steps.append((a, b))
+            return steps
         case Composition():
-            ops, leaves = kids[0]
-            for more, more_leaves in kids[1:]:
-                ops.extend(more)
-                leaves = leaves and more_leaves
-            return ops, leaves
-    raise TypeError(f"not a Mapping: {node!r}")
+            steps = kids[0]
+            for more in kids[1:]:
+                steps.extend(more)
+            return steps
+    return deque([node])
+
+
+def _op(leaf: Mapping):
+    """The op that applies one leaf."""
+    match leaf:
+        case Identity():
+            return _copy
+        case Affine(matrix=A, offset=c):
+            return _affine(A.T, c)
+        case Rotation():
+            Rt = leaf.matrix().T
+            return lambda x, out=None: x.dot(Rt, out)
+        case BoxProjection(lo=lo, hi=hi):
+            return lambda x, out=None: x.clip(lo, hi, out)
+    raise TypeError(f"not a Mapping: {leaf!r}")
 
 
 def _copy(x, out=None):
@@ -382,45 +409,94 @@ def _fused(run, alpha: np.ndarray, beta: np.ndarray):
     return fused
 
 
+def _walk(m: Mapping, x):
+    """One forward pass over ``m``'s flat program that carries the value at
+    ``x``, the form ``(A, c)`` of the map so far (the value is ``A @ x + c``)
+    and the margin. Returns ``(value, A, c, margin)``.
+
+    With ``x`` None there is no value, and a box projection ends the walk
+    with None. The form starts as None, the identity; the first affine leaf
+    starts it with copies of its arrays, and a mix over no earlier leaf
+    takes ``alpha * eye`` and the base's offset times ``beta``, so a leaf, a
+    root composition of leaves and a linear combination over leaves fold
+    with no product by ``eye``. A leaf's matrix multiplies the form from the
+    left, and a mix combines the saved form with the base's, so a subtree
+    after other stages is folded into them leaf by leaf, not on its own.
+
+    At ``x`` a box gives ``diag(free)`` and its clamped values, where
+    ``free`` marks the coordinates of its input z strictly inside the bounds
+    (a tie counts as clamped). It bounds the margin by
+    ``dist(z, bounds) / ||J_z||_inf``, J_z the linear part up to the box; a
+    box whose input does not move (J_z = 0) bounds nothing.
+    """
+    value, form, margin, saved = x, None, math.inf, []
+    for step in _fold(m, _program):
+        match step:
+            case None:
+                saved.append((value, form))
+            case (a, b):
+                (z, before), (A, c) = saved.pop(), form or _identity(m.dim)
+                A0, c0 = before or _identity(m.dim)
+                form = a * A0 + b * A, (b * c if before is None else a * c0 + b * c)
+                value = None if x is None else a * z + b * value
+            case Affine() | Rotation():
+                L, o = (step.matrix, step.offset) if type(step) is Affine else (step.matrix(), np.zeros(2))
+                form = (L.copy(), o.copy()) if form is None else (L @ form[0], L @ form[1] + o)
+                value = None if x is None else _op(step)(value)
+            case BoxProjection(lo=lo, hi=hi):
+                if x is None:
+                    return None
+                (J, c), z, value = form or _identity(m.dim), value, _op(step)(value)
+                if not np.isfinite(z).all():  # only a box turns an overflow finite again
+                    raise NonFiniteResult("mapping piece overflowed to non-finite entries")
+                free = (lo < z) & (z < hi)
+                reach = np.abs(J).sum(axis=1).max()  # ||J_z||_inf; NaN from an overflow is kept
+                if reach:
+                    margin = np.minimum(margin, np.minimum(abs(z - lo), abs(hi - z)).min() / reach)
+                form = np.where(free[:, None], J, 0.0), np.where(free, c, value)
+    return value, *(form or _identity(m.dim)), margin
+
+
+def _identity(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The form (A, c) of the identity of R^d, which a walk's form is until
+    its first affine leaf."""
+    return np.eye(d), np.zeros(d)
+
+
 def as_affine(m: Mapping) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact affine normal form (A, c) with m(x) = A @ x + c, or None.
 
     Defined for Affine, Rotation, Identity, linear combinations over an
     affine-representable base, and compositions of affine-representable
-    stages. Box projections have no affine form. A fold that overflows
-    returns its inf and nan entries without a numpy warning; callers check
-    the form for finiteness. The arrays returned are the caller's own.
+    stages: ``_walk`` with no point. Box projections have no affine form. A
+    fold that overflows returns its inf and nan entries without a numpy
+    warning; callers check the form for finiteness. The arrays returned are
+    the caller's own.
     """
-    if isinstance(m, Affine):  # the only tree whose fold would be its leaf's arrays
-        return m.matrix.copy(), m.offset.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        return _fold(m, _affine_form)
+        walked = _walk(m, None)
+    return None if walked is None else walked[1:3]
 
 
-def _affine_form(node: Mapping, kids: list) -> tuple[np.ndarray, np.ndarray] | None:
-    """``as_affine``'s rule."""
-    match node:
-        case Identity(dim=d):
-            return np.eye(d), np.zeros(d)
-        case Affine(matrix=A, offset=c):
-            return A, c  # the rules above a leaf read it and build new arrays
-        case Rotation():
-            return node.matrix(), np.zeros(2)
-        case BoxProjection():
-            return None
-        case _ if None in kids:  # a node above a box projection
-            return None
-        case LinearCombinationWithIdentity(alpha=a, beta=b):
-            A, c = kids[0]
-            return a * np.eye(node.dim) + b * A, b * c
-        case Composition():
-            A = np.eye(node.dim)
-            c = np.zeros(node.dim)
-            for As, cs in kids:
-                A = As @ A
-                c = As @ c + cs
-            return A, c
-    raise TypeError(f"not a Mapping: {node!r}")
+def piece_at(m: Mapping, x) -> tuple[np.ndarray, np.ndarray, float]:
+    """The affine piece of ``m`` at ``x``: ``(A, c, margin)`` with
+    ``m(y) = A @ y + c`` for every y with ``||y - x||_inf < margin``, and so
+    in l1 and l2 too (``_walk`` at ``x``).
+
+    ``margin`` is the least ``dist(z, bounds) / ||J_z||_inf`` over the box
+    projections, z a box's input and J_z the linear part up to it: 0 when a
+    box input lies on a bound, inf on a tree with no box. On a box-free tree
+    ``(A, c)`` is ``as_affine(m)`` bit for bit. Raises DimensionMismatch
+    naming ``x`` on a wrong-size point, and NonFiniteResult when the map or
+    its piece overflows at ``x``, a box's input or margin included. The
+    arrays returned are the caller's own.
+    """
+    x = _as_point(m, x, "x")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, A, c, margin = _walk(m, x)
+    if not (np.isfinite(value).all() and np.isfinite(A).all() and np.isfinite(c).all() and margin >= 0):
+        raise NonFiniteResult("mapping piece overflowed to non-finite entries")
+    return A, c, float(margin)
 
 
 def collapse(m: Mapping) -> Mapping:

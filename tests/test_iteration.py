@@ -734,6 +734,12 @@ def test_apriori_worked_examples_against_exact_oracle():
     assert apriori_iterations_exact(
         Fraction(1, 2), Fraction(1), Fraction(1, 4)
     ) == 3
+    # Past the float range: eps*(1-lam)/d1 underflows to 0 in the closed form,
+    # and 0.5**n does past n = 1075, where 0.5**1075 * 2 == 5e-324 is a tie.
+    assert fp.apriori_iterations(0.5, 1e300, 1e-300) == 1995
+    assert apriori_iterations_exact(Fraction(0.5), Fraction(1e300), Fraction(1e-300)) == 1995
+    assert fp.apriori_iterations(0.5, 1.0, 5e-324) == 1075
+    assert apriori_iterations_exact(Fraction(0.5), Fraction(1.0), Fraction(5e-324)) == 1075
 
 
 def test_apriori_validation():

@@ -160,11 +160,15 @@ def test_deep_trees_are_walked_without_recursion(tmp_path):
         assert fp.evaluate(m, [3.0]).tolist() == [1.5]
         assert fp.evaluate_many(m, [[3.0], [-4.0]]).tolist() == [[1.5], [-2.0]]
         folded = fp.mappings.collapse(m)
+        A, c, margin = fp.mappings.piece_at(m, [3.0])
+        assert A.tolist() == [[0.5]] and c.tolist() == [0.0]
         if isinstance(inner(1.0), fp.Affine):
+            assert margin == math.inf
             A, c = fp.as_affine(m)
             assert A.tolist() == [[0.5]] and c.tolist() == [0.0]
             assert folded == fp.Affine(A, c)
         else:
+            assert 0.0 < margin < math.inf
             assert fp.as_affine(m) is None
             assert folded == m
         doc = fp.serialize_mapping(m)
@@ -235,6 +239,13 @@ def test_as_affine_faithful_on_seeded_points():
         fp.LinearCombinationWithIdentity(0.3, 0.7, fp.Affine(A, c)),
         fp.Composition((fp.Affine(A, c), fp.Affine(-A, 2.0 * c))),
         fp.Identity(4),
+        # Nested trees, whose fold mixes the linear parts after the stages
+        # before them: a lincomb inside a composition, a composition inside
+        # that, and an Identity stage.
+        fp.Composition((fp.Affine(A, c), fp.LinearCombinationWithIdentity(0.3, 0.7, fp.Affine(-A, c)))),
+        fp.Composition((fp.Affine(A, c), fp.LinearCombinationWithIdentity(
+            -0.5, 1.5, fp.Composition((fp.Affine(A.T, -c), fp.Affine(A, c)))), fp.Affine(-A, c))),
+        fp.Composition((fp.Affine(A, c), fp.Identity(3), fp.Affine(-A, 2.0 * c))),
     ]
     for m in candidates:
         pair = fp.as_affine(m)
@@ -310,6 +321,75 @@ def test_collapse_folds_only_whole_affine_maps():
         mixed,
     ):
         assert collapse(tree) is tree
+
+
+# --- the piece at a point ---
+
+
+def _piece_cases():
+    """``_collapse_cases()`` and random box trees: Box∘Affine, Affine∘Box
+    and averaged ones, at d in {1, 2, 3, 8, 64}, each with its points."""
+    rng = np.random.default_rng(47)
+    cases = [(m, rng.uniform(-3.0, 3.0, (4, m.dim))) for m in _collapse_cases()]
+    for d in (1, 2, 3, 8, 64):
+        for _ in range(3):
+            A, c = rng.normal(size=(d, d)) / math.sqrt(d), rng.normal(size=d)
+            lo = rng.uniform(-2.0, 0.0, d)
+            aff, box = fp.Affine(A, c), fp.BoxProjection(lo, lo + rng.uniform(0.5, 3.0, d))
+            for m in (fp.Composition((aff, box)), fp.Composition((box, aff)),
+                      fp.averaged(fp.Composition((aff, box)), 0.25),
+                      fp.Composition((aff, fp.averaged(fp.Composition((box, aff)), 0.5), box))):
+                cases.append((m, rng.uniform(-3.0, 3.0, (4, d))))
+    return cases
+
+
+def test_piece_at_is_the_map_near_its_point():
+    # A x + c is m(x), and stays m(y) for every step within the margin; on a
+    # box-free tree the piece is as_affine's form, with no margin to keep.
+    rng = np.random.default_rng(53)
+    margins = []
+    for m, xs in _piece_cases():
+        form = fp.as_affine(m)
+        for x in xs:
+            A, c, margin = fp.mappings.piece_at(m, x)
+            want = fp.evaluate(m, x)
+            assert np.linalg.norm(A @ x + c - want) <= 1e-12 * np.linalg.norm(want), m
+            if form is not None:
+                assert A.tobytes() == form[0].tobytes() and c.tobytes() == form[1].tobytes(), m
+                assert margin == math.inf
+                continue
+            margins.append(margin)
+            for h in rng.uniform(-0.9 * margin, 0.9 * margin, (20, m.dim)):
+                want = fp.evaluate(m, x + h)
+                assert np.linalg.norm(A @ (x + h) + c - want) <= 1e-12 * np.linalg.norm(want), m
+    assert 0.0 < min(margins) and max(margins) < math.inf
+
+
+def test_piece_at_ties_overflow_and_bad_points():
+    box = fp.BoxProjection([-1.0, -1.0], [1.0, 1.0])
+    # An input on a bound counts as clamped, with margin 0.
+    A, c, margin = fp.mappings.piece_at(fp.Composition((fp.scaling_map(2.0, 2), box)), [0.5, 0.25])
+    assert A.tolist() == [[0.0, 0.0], [0.0, 2.0]] and c.tolist() == [1.0, 0.0] and margin == 0.0
+    A, c, margin = fp.mappings.piece_at(box, [3.0, 0.5])
+    assert A.tolist() == [[0.0, 0.0], [0.0, 1.0]] and c.tolist() == [1.0, 0.0] and margin == 0.5
+    for m in (fp.Affine([[1e308]], [0.0]),
+              fp.Composition((fp.BoxProjection([-10.0], [10.0]), fp.scaling_map(1e308))),
+              # evaluate gives [1.0] on these, but the box's input is inf, and
+              # in the second its Jacobian 1e400 is too.
+              fp.Composition((fp.scaling_map(1e308), fp.BoxProjection([-1.0], [1.0]))),
+              fp.Composition((fp.scaling_map(1e200), fp.scaling_map(1e200), fp.BoxProjection([-1.0], [1.0])))):
+        with pytest.raises(NonFiniteResult):
+            fp.mappings.piece_at(m, [5.0])
+    with pytest.raises(DimensionMismatch, match="^x: dimension 3 does not match mapping dimension 2$"):
+        fp.mappings.piece_at(box, [0.0, 0.0, 0.0])
+    # The arrays are the caller's own, a lone leaf's too.
+    for m in (fp.Affine([[2.0, 1.0], [0.0, 1.0]], [1.0, -1.0]),
+              fp.Composition((fp.Affine(np.eye(2), [1.0, 0.0]), box))):
+        A, c, _ = fp.mappings.piece_at(m, [0.5, 0.25])
+        before = fp.serialize_mapping(m)
+        A[...] = 7.0
+        c[...] = 7.0
+        assert fp.serialize_mapping(m) == before
 
 
 def test_non_numeric_fields_are_invariant_violations():

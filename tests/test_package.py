@@ -88,3 +88,14 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_quick_tour_runs_as_written():
+    # README's "Library quick tour" block runs as written, and the values
+    # its comments give are the ones it computes.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(tour, scope)
+    assert scope["b"] == 1.0  # min_b_affine([[-2.0]], modified)
+    assert scope["n"] == 18  # apriori_iterations(0.25, 25.0, 1e-9)
