@@ -22,8 +22,10 @@ last block. ``PairSampler.draw`` copies the same blocks into two whole
 arrays.
 ``min_b_affine`` is exact for affine maps, where the condition collapses to
 a convex norm inequality in b: it solves for the least b in closed form (row
-maxima in l1 and l-infinity, eigenvalues in l2), and the operator-norm kernel
-accepts every b it returns.
+maxima in l1 and l-infinity, eigenvalues in l2). The operator-norm kernel
+accepts every b it returns to within a rounding allowance of
+8 d eps (b + ||A|| + 1); where it refuses the closed form, bisection is the
+one repair.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ B_CAP = 1e6  # min_b_affine answers None when no b up to this is feasible
 B_TOL = 1e-8  # min_b_affine returns the least feasible b to within this
 
 DEFAULT_SLACK = 1e-9
+
+# min_b_affine accepts a b where ||bI + A|| - rhs(b) is at most this times
+# d (b + ||A|| + 1): an allowance for the rounding of bI + A and the kernels.
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 # min_b_affine's l2 enriched closed form reads as 0, as rounding noise, an
 # eigenvalue of 2I - (A + A^T) within this times max(1, its largest) of 0,
@@ -539,81 +545,59 @@ def min_b_affine(
     maximum over rows, and in l2 the top eigenvalue of a symmetric-definite
     pencil (enriched; on the range of 2I - (A + A^T) when that is singular,
     as for a map that fixes a direction) or the d-th of a quadratic
-    eigenproblem (modified). The kernel of ``OPERATOR_NORMS`` then checks it:
-    the answer is the closed form stepped up by a few ulps until g reads
-    <= 0 there, as a bisection's upper end would be. Where g is flat near
-    the endpoint, g reads 0 over a stretch wider than ``B_TOL``, and the
-    answer is the closed form's point in it. Where the kernel refuses that
-    point by rounding alone, the steps and the bisection find a b past it
-    that the kernel accepts, which on a long flat stretch can lie well above
-    the least b.
+    eigenproblem (modified). One feasibility test then checks it through the
+    kernel of ``OPERATOR_NORMS``: b is accepted when
 
-    None rests on the kernel too. Every feasible b is at least
-    (||A|| - 1) / 2, so ||A|| = g(0) + 1 > 2 B_CAP + 1 rules every b out before
-    any product of A is formed. Otherwise an enriched None needs g(B_CAP) > 0,
-    which rules out every b <= B_CAP because the enriched g is non-increasing.
-    That reading is taken at once when the closed form finds no b up to
-    B_CAP, and otherwise only when the steps up from the closed form reach
-    B_CAP, since where g is flat at 0 rounding alone can put one reading
-    above 0. A modified None needs g > 0 at the closed form's endpoint, and
-    also at the middle of its interval when that is not empty. The steps up
-    from the closed form grow fourfold, so a kernel that refuses many of
-    them still meets a b it accepts within 37 steps; bisection of the last
-    step then finds the least b to within ``B_TOL``.
+        g(b) <= 8 d eps (b + ||A|| + 1),
+
+    eps the float64 machine epsilon. The allowance covers the rounding of
+    forming bI + A and of the norm kernels, so where g is flat at 0 past the
+    least b, as for a map that fixes a direction, the closed form stands
+    whichever sign rounding gives its reading. The closed form is the answer
+    when the test accepts it. Otherwise the one repair is bisection between
+    the refused point and an accepted end, B_CAP (enriched) or the middle of
+    the closed form's interval (modified); it finds the least accepted b to
+    within ``B_TOL`` in at most 48 passes.
+
+    None rests on the same test. Every feasible b is at least
+    (||A|| - 1) / 2, so ||A|| > 2 B_CAP + 1 rules every b out before any
+    product of A is formed. Otherwise None means the closed form is refused
+    and so is the bisection's end, or the modified interval is empty. The
+    enriched end is B_CAP, and refusing it rules out every b <= B_CAP
+    because the enriched g is non-increasing.
     """
     A = as_matrix(matrix, name="matrix")
     kind = _as_condition_kind(kind)
     norm_kind = as_norm_kind(norm_kind)
     op_norm = OPERATOR_NORMS[norm_kind]
     eye = np.eye(A.shape[0])
-
-    def g(b: float) -> float:
-        return op_norm(b * eye + A) - _factor(b, kind)
-
-    g0 = g(0.0)
-    if g0 <= 0.0:
-        return 0.0
-    if g0 > 2.0 * B_CAP:
+    top = op_norm(A)
+    if top - 1.0 > 2.0 * B_CAP:
         return None
+    allowance = _ROUNDING * A.shape[0]
 
-    # lo is the answer if the kernel accepts it; otherwise a feasible map has
-    # hi feasible too, and the least b lies in (lo, hi]. The kernel reads hi
-    # before the step-up unless lo is a finite enriched closed form; then the
-    # step-up reads it only if it gets there.
-    check_hi = True
+    def feasible(b: float) -> bool:
+        return op_norm(b * eye + A) - _factor(b, kind) <= allowance * (b + top + 1.0)
+
+    if top - 1.0 <= allowance * (top + 1.0):
+        return 0.0
     if kind is ConditionKind.ENRICHED:
         lo, hi = _enriched_least(A, norm_kind), B_CAP
-        if lo > B_CAP:
-            # No b up to B_CAP by closed form: g(B_CAP) > 0 confirms it, or
-            # else bisection from 0 finds the least.
+        if lo > B_CAP:  # no b up to B_CAP by closed form: bisect from 0
             lo = 0.0
-        else:
-            check_hi = False
     else:
         lo, hi = _modified_interval(A, norm_kind)
         lo = min(lo, B_CAP)
         hi = 0.5 * (lo + min(hi, B_CAP))
-    if (g0 if lo == 0.0 else g(lo)) <= 0.0:
+    if lo > 0.0 and feasible(lo):
         return lo
-    if not lo < hi or (check_hi and g(hi) > 0.0):
+    if not (lo < hi and feasible(hi)):
         return None
-    # The kernel refuses lo. Step up from lo by 1, 4, 16, ... ulps of
-    # max(lo, 1) until it accepts; where lo was refused by rounding alone, a
-    # few steps do. From 2**-52 to B_CAP that is at most 37 passes.
-    step = math.ulp(max(lo, 1.0))
-    while True:
-        b = min(lo + step, hi)
-        if (b == hi and check_hi) or g(b) <= 0.0:
-            break
-        if b == hi:
-            return None
-        lo, step = b, 4.0 * step
-    hi = b
     # Each pass halves hi - lo <= B_CAP = 1e6 until it is at most B_TOL / 2:
     # at most 48 passes.
     while hi - lo > B_TOL * 0.5:
         mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
+        if feasible(mid):
             hi = mid
         else:
             lo = mid

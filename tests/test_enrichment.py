@@ -602,6 +602,12 @@ def _kernel_gap(A, kind, norm_kind, b):
     return spaces.OPERATOR_NORMS[norm_kind](b * np.eye(A.shape[0]) + A) - rhs
 
 
+def _allowance(A, norm_kind, b):
+    """The rounding allowance min_b_affine states for a kernel gap at b:
+    8 d eps (b + ||A|| + 1), ||A|| through the same kernel."""
+    return 8.0 * A.shape[0] * np.finfo(float).eps * (b + spaces.OPERATOR_NORMS[norm_kind](A) + 1.0)
+
+
 def _min_b_family():
     """ROADMAP's least-b family: one map per seed 0-9 and d in {2, 4, 8}."""
     for d in (2, 4, 8):
@@ -675,7 +681,8 @@ def test_min_b_bisects_where_the_closed_form_has_no_answer():
     kind, norm_kind = fp.ConditionKind.ENRICHED, fp.NormKind.L2
     b = fp.min_b_affine(A, kind, norm_kind)
     assert b == pytest.approx(1.0, abs=B_TOL)
-    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0 < _kernel_gap(A, kind, norm_kind, b - B_TOL)
+    assert _kernel_gap(A, kind, norm_kind, b) <= _allowance(A, norm_kind, b)
+    assert 0.0 < _kernel_gap(A, kind, norm_kind, b - B_TOL)
 
 
 def test_min_b_repairs_a_closed_form_the_kernel_refuses(monkeypatch):
@@ -688,21 +695,23 @@ def test_min_b_repairs_a_closed_form_the_kernel_refuses(monkeypatch):
     assert enrichment._enriched_least(A, norm_kind) == math.inf
     assert fp.min_b_affine(A, kind, norm_kind) is None
     assert _kernel_gap(A, kind, norm_kind, fp.B_CAP) > 0.0
-    # A closed form that finds a b where none is feasible: the steps up from
-    # it reach B_CAP refused, and the answer is still None.
+    # A closed form that finds a b where none is feasible: it is refused, so
+    # is B_CAP, the bisection's upper end, and the answer is still None.
     monkeypatch.setattr(enrichment, "_enriched_least", lambda A, norm_kind: 0.25)
     assert fp.min_b_affine(A, kind, norm_kind) is None
     monkeypatch.undo()
     # Closed forms 0.1 below the least b (0.5 for [[-2]], 1 for diag(0.5, -3))
-    # are refused: the steps up and the bisection find the least b to within
-    # B_TOL, and the kernel accepts it.
+    # are refused: the bisection up to B_CAP finds the least b to within
+    # B_TOL, and the kernel accepts it within the allowance. So it does from
+    # 0 when the closed form finds no b at all.
     least = enrichment._enriched_least
-    monkeypatch.setattr(enrichment, "_enriched_least", lambda A, norm_kind: least(A, norm_kind) - 0.1)
-    for A, want in ((np.array([[-2.0]]), 0.5), (np.diag([0.5, -3.0]), 1.0)):
-        b = fp.min_b_affine(A, kind, norm_kind)
-        assert b == pytest.approx(want, abs=B_TOL), A
-        assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
-    monkeypatch.undo()
+    for closed_form in (lambda A, norm_kind: least(A, norm_kind) - 0.1, lambda A, norm_kind: math.inf):
+        monkeypatch.setattr(enrichment, "_enriched_least", closed_form)
+        for A, want in ((np.array([[-2.0]]), 0.5), (np.diag([0.5, -3.0]), 1.0)):
+            b = fp.min_b_affine(A, kind, norm_kind)
+            assert b == pytest.approx(want, abs=B_TOL), A
+            assert _kernel_gap(A, kind, norm_kind, b) <= _allowance(A, norm_kind, b)
+        monkeypatch.undo()
     # So is a modified lower end 0.3 below the least b, 1 for [[-2]].
     kind, A = fp.ConditionKind.MODIFIED, np.array([[-2.0]])
     interval = enrichment._modified_interval
@@ -712,22 +721,50 @@ def test_min_b_repairs_a_closed_form_the_kernel_refuses(monkeypatch):
     )
     b = fp.min_b_affine(A, kind, norm_kind)
     assert b == pytest.approx(1.0, abs=B_TOL)
-    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
+    assert _kernel_gap(A, kind, norm_kind, b) <= _allowance(A, norm_kind, b)
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.3, 0.7, 1.1, 1.5, 2.0, 2.5, 3.0])
 def test_min_b_of_a_map_that_fixes_a_direction(theta):
     # R diag(1, -3) R^T fixes R e1, so 2I - (A + A^T) is singular, and past
     # the least b = 1 the kernel's gap is 0 up to rounding, whichever sign
-    # it reads. The pencil on the range of 2I - (A + A^T) answers, and no
-    # single reading at B_CAP makes the answer None.
+    # it reads. The pencil on the range of 2I - (A + A^T) answers, and the
+    # allowance accepts it whichever sign the reading has.
     c, s = math.cos(theta), math.sin(theta)
     R = np.array([[c, -s], [s, c]])
     A = R @ np.diag([1.0, -3.0]) @ R.T
     kind, norm_kind = fp.ConditionKind.ENRICHED, fp.NormKind.L2
     b = fp.min_b_affine(A, kind, norm_kind)
     assert b == pytest.approx(1.0, abs=B_TOL)
-    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
+    assert _kernel_gap(A, kind, norm_kind, b) <= _allowance(A, norm_kind, b)
+
+
+def test_min_b_of_symmetric_maps_that_fix_a_direction_is_exact():
+    # A = Q diag(1, lambda_2..lambda_d) Q^T is symmetric, so ||bI + A||_2 =
+    # max_i |b + lambda_i|, and the least enriched b is
+    # max(0, -(min lambda + 1) / 2). Past it the kernel's gap is 0 up to
+    # rounding, whichever sign it reads; the closed form must still stand.
+    kind, norm_kind = fp.ConditionKind.ENRICHED, fp.NormKind.L2
+    misses = []
+    for seed in (5, 6, 7):
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            d = rng.integers(2, 9)
+            Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            lam = np.array([1.0, *rng.uniform(-3.0, 1.0, d - 1)])
+            A = Q @ np.diag(lam) @ Q.T
+            want = max(0.0, -(lam.min() + 1.0) / 2.0)
+            b = fp.min_b_affine(A, kind, norm_kind)
+            if b is None or abs(b - want) > B_TOL:
+                misses.append((seed, d, want, b))
+            else:
+                assert _kernel_gap(A, kind, norm_kind, b) <= _allowance(A, norm_kind, b)
+    assert not misses, misses
+    # Eigenvalues 1 and 0.224: nonexpansive, so 0-enriched, although the
+    # kernel reads ||A||_2 - 1 as +6.7e-16.
+    A = np.array([[0.5859044897274264, 0.38707903286483], [0.38707903286483, 0.6381748317315785]])
+    assert _kernel_gap(A, kind, norm_kind, 0.0) > 0.0
+    assert fp.min_b_affine(A, kind, norm_kind) == 0.0
 
 
 def _feasible_modified_family():
@@ -800,7 +837,8 @@ def test_min_b_of_huge_matrices_is_none_without_warnings():
 def test_min_b_where_the_gap_is_flat():
     # lambda_min(2I - (A + A^T)) is 3.5e-4, and the kernel's gap reads 0 or
     # 5.7e-14 over [b - 2e-7, b]: no b there is resolvable to B_TOL. The
-    # answer is still one the kernel accepts, near the bracketing search's.
+    # answer is still one the kernel accepts within the allowance, near the
+    # bracketing search's.
     A = np.array([
         [0.9934142012161769, 0.4937939471919176],
         [-0.2926569506171738, -0.5782334654068086],
@@ -808,7 +846,7 @@ def test_min_b_where_the_gap_is_flat():
     kind, norm_kind = fp.ConditionKind.ENRICHED, fp.NormKind.L2
     b = fp.min_b_affine(A, kind, norm_kind)
     assert b == pytest.approx(437.48937449231744, rel=1e-6)
-    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
+    assert _kernel_gap(A, kind, norm_kind, b) <= _allowance(A, norm_kind, b)
 
 
 @st.composite
@@ -824,7 +862,7 @@ def test_min_b_is_kernel_feasible_and_least_hypothesis(A, kind, norm_kind):
     b = fp.min_b_affine(A, kind, norm_kind)
     if b is None:
         return
-    assert _kernel_gap(A, kind, norm_kind, b) <= 0.0
+    assert _kernel_gap(A, kind, norm_kind, b) <= _allowance(A, norm_kind, b)
     below = b - 1e-6 * max(1.0, b)
     assert below < 0.0 or _kernel_gap(A, kind, norm_kind, below) > 0.0
 
@@ -842,6 +880,24 @@ def test_min_b_makes_the_enriched_reduction_nonexpansive():
         S = fp.enriched_reduction(fp.Affine(A, np.zeros(A.shape[0])), b)
         assert fp.operator_norm(fp.as_affine(S)[0]) <= 1.0 + 1e-12, (A, b)
     assert found > 0
+
+
+@pytest.mark.parametrize("norm_kind", list(fp.NormKind))
+def test_the_classes_coincide_through_the_averaged_map_not_for_t(norm_kind):
+    # T = -2I + c is b-enriched from b = 0.5 (and modified from 1) in every
+    # norm, with Lipschitz constant 2 = 2b + 1; it is not nonexpansive, but
+    # its enriched reduction at 0.5, x -> -x + 2c/3, is.
+    T = fp.Affine(-2.0 * np.eye(2), [1.0, -1.0])
+    enriched = fp.ConditionKind.ENRICHED
+    assert fp.min_b_affine(T.matrix, enriched, norm_kind) == pytest.approx(0.5, abs=B_TOL)
+    assert fp.min_b_affine(T.matrix, fp.ConditionKind.MODIFIED, norm_kind) == 1.0
+    sampler = fp.PairSampler(seed=3, count=2000)
+    raw = fp.verify_condition(T, 0.0, enriched, sampler, norm_kind=norm_kind)
+    assert not raw.passed
+    assert raw.max_ratio == pytest.approx(2.0, rel=1e-12)
+    reduced = fp.verify_condition(fp.enriched_reduction(T, 0.5), 0.0, enriched, sampler, norm_kind=norm_kind)
+    assert reduced.passed
+    assert reduced.max_ratio == pytest.approx(1.0, rel=1e-9)
 
 
 def test_enriched_feasibility_is_upward_closed():

@@ -740,6 +740,14 @@ def test_apriori_worked_examples_against_exact_oracle():
     assert apriori_iterations_exact(Fraction(0.5), Fraction(1e300), Fraction(1e-300)) == 1995
     assert fp.apriori_iterations(0.5, 1.0, 5e-324) == 1075
     assert apriori_iterations_exact(Fraction(0.5), Fraction(1.0), Fraction(5e-324)) == 1075
+    # The closed form in logs overshoots by one (132), so the fix-up walks
+    # down; then undershoots by one (50), so it walks up.
+    for args, want in (
+        ((0.7915226654268175, 94.94460776201504, 2.27567914049222e-11), 131),
+        ((0.06287821051441683, 2.0, 1.7957365768136675e-60), 51),
+    ):
+        assert fp.apriori_iterations(*args) == want
+        assert apriori_iterations_exact(*map(Fraction, args)) == want
 
 
 def test_apriori_validation():
