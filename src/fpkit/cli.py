@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="sampled check of the enrichment condition")
+    p = sub.add_parser("verify", help="check of the enrichment condition (exact for affine maps)")
     _add_common(p)
     p.add_argument("--kind", choices=[k.value for k in ConditionKind], help="condition kind")
     p.add_argument("--b", type=float, help="enrichment constant to test")
@@ -135,7 +135,9 @@ def _run_scheme_command(args: argparse.Namespace, doc: dict) -> int:
     if summary.fixed_point is not None:
         print(f"  fixed_point={summary.fixed_point} iterations={summary.iterations}")
     if summary.report is not None:
-        print(f"  max_ratio={summary.report.max_ratio!r} passed={summary.report.passed}")
+        report = summary.report
+        print(f"  max_ratio={report.max_ratio!r} status={report.status.value} "
+              f"passed={report.passed}")
     if summary.scheme is Scheme.MIN_B:
         print(f"  min_b={summary.min_b!r}")
     if summary.status in _FAILURE_STATUSES or summary.status.startswith("error:"):

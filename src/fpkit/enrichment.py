@@ -10,9 +10,14 @@ and *b-modified-enriched nonexpansive* when the right-hand side is just
 is nonexpansive; the second makes the averaged map with lambda = 1/(b+1) a
 Banach contraction with factor lambda, which is what the solvers exploit.
 
-``verify_condition`` is a refutable sampled check: a violating pair proves
-the condition fails, while a pass is evidence over the sampled pairs, not a
-proof. It scores the pairs of a ``PairSampler`` where they are drawn: the
+``verify_condition`` decides the condition exactly for a map with a finite
+affine form A x + c: the supremum of the ratio is ||bI + A|| / rhs(b), one
+call into ``OPERATOR_NORMS``, and a pair (x, 0) along a top direction of
+bI + A attains it, so the report is ``proved`` or ``refuted`` and carries that
+pair. Any other map, one with a box projection or a fold that overflows, gets
+a sampled check, status ``sampled``: a violating pair proves the condition
+fails, while a pass is evidence over the sampled pairs, not a proof. The
+sampled check scores the pairs of a ``PairSampler`` where they are drawn: the
 sampler's one PCG64 stream is read in one forward pass of row blocks, each
 block is filled into buffers the blocks share and scored there, and the
 witness is copied out of the block that holds it as that block is scored, so
@@ -24,8 +29,8 @@ arrays.
 a convex norm inequality in b: it solves for the least b in closed form (row
 maxima in l1 and l-infinity, eigenvalues in l2). The operator-norm kernel
 accepts every b it returns to within a rounding allowance of
-8 d eps (b + ||A|| + 1); where it refuses the closed form, bisection is the
-one repair.
+8 d eps (b + ||A|| + 1); where it refuses the closed form by rounding,
+B_TOL / 2 past it is tried, and otherwise bisection is the one repair.
 """
 
 from __future__ import annotations
@@ -37,7 +42,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvariantViolation, ParameterOutOfRange
-from .mappings import LinearCombinationWithIdentity, Mapping, _as_point, _compile, _finite
+from .mappings import (
+    LinearCombinationWithIdentity,
+    Mapping,
+    _as_point,
+    _compile,
+    _finite,
+    as_affine,
+)
 from .spaces import (
     _L2_SCALE,
     DIM_CAP,
@@ -70,22 +82,35 @@ _SINGULAR = 1e-12
 # occurs in a sample.
 MIN_SEPARATION = 1e-14
 
-# The most pairs one sampler draws. A check draws its near pairs whole, as
-# two float64 arrays of count * near_pair_fraction rows: at the default
-# fraction 0.2 and d = DIM_CAP that is 0.2 * count * 64 * 16 bytes, about
-# 205 MB at this cap (five times that at fraction 1).
+# The most pairs one sampler draws. A check draws its near pairs' steps
+# whole, as one float64 array of count * near_pair_fraction rows: at the
+# default fraction 0.2 and d = DIM_CAP that is 0.2 * count * 64 * 8 bytes,
+# about 102 MB at this cap (five times that at fraction 1).
 PAIR_COUNT_CAP = 10**6
 
-# Pairs are drawn and scored in row blocks of about this many entries (256 KiB
+# Pairs are drawn and scored in row blocks of about this many entries (128 KiB
 # of float64), so each block's buffers and temporaries stay in cache and are
 # reused instead of faulting in fresh pages. A budget rather than a row count
-# keeps low-dimensional checks in one block.
-_BLOCK_ENTRIES = 2**15
+# keeps low-dimensional checks in few blocks. The block's arrays and the near
+# steps are the most a check holds at once: at d = 64 a check's resident
+# memory grows by about 1.4 MB here and 2.1 MB at 2**15 entries, and it takes
+# about 8% longer.
+_BLOCK_ENTRIES = 2**14
 
 
 class ConditionKind(str, Enum):
     ENRICHED = "enriched"
     MODIFIED = "modified"
+
+
+class CheckStatus(str, Enum):
+    """How a condition check ended. ``proved`` and ``refuted`` are exact
+    verdicts on a map with an affine form; ``sampled`` is the sampled check's,
+    whose pass is evidence and whose failure is a proof by its witness."""
+
+    PROVED = "proved"
+    REFUTED = "refuted"
+    SAMPLED = "sampled"
 
 
 def _as_condition_kind(kind) -> ConditionKind:
@@ -222,16 +247,19 @@ def _pair_blocks(sampler: PairSampler, dim: int):
     One PCG64 stream makes the pairs, in this order: the near pairs' x's,
     their normal directions and their log-uniform magnitudes; the far rows'
     x's, then their y's; then the redraws. A direction takes a variable
-    number of draws, so the near pairs are drawn whole. A far row takes a
-    fixed number: with P the stream position after the near pairs, far row i's
-    x sits at P + i*d and its y at P + (n_far + i)*d. So far rows are filled
-    block by block into buffers the blocks share, and
-    ``bit_generator.advance`` moves between the x's and the y's.
+    number of draws, so the near pairs' steps y - x are drawn whole. An x
+    takes a fixed number: near row i's x sits at i*d, so a second generator
+    draws the near x's block by block, and their y's are the steps plus the
+    x's. With P the stream position after the near pairs, far row i's x sits
+    at P + i*d and its y at P + (n_far + i)*d. So far rows are filled block
+    by block into buffers the blocks share, and ``bit_generator.advance``
+    moves between the x's and the y's. Only the steps, n_near rows, are held
+    whole.
 
-    ``rows`` is the slice of the sample that the block holds: the near rows
-    copied from their arrays, the far rows drawn in place. ``diffs`` is
-    ``xs - ys`` and ``dists`` its l2 row norms. The next block reuses all
-    these arrays, and the caller may overwrite ``diffs`` and ``dists``.
+    ``rows`` is the slice of the sample that the block holds, every row
+    drawn in place. ``diffs`` is ``xs - ys`` and ``dists`` its l2 row
+    norms. The next block reuses all these arrays, and the caller may
+    overwrite ``diffs`` and ``dists``.
     ``redrawn`` indexes the block's far pairs closer than MIN_SEPARATION *
     box_radius; they are yielded as drawn. Once every far row is drawn, those
     pairs are redrawn from the stream's end, in rounds as in one whole draw,
@@ -239,26 +267,28 @@ def _pair_blocks(sampler: PairSampler, dim: int):
     rows and whose ``redrawn`` is empty, so their final values come last.
     """
     rng = np.random.default_rng(sampler.seed)
+    near_rng = np.random.default_rng(sampler.seed)  # at the near x's, the stream's start
     r = sampler.box_radius
     n = sampler.count
     n_near = int(round(n * sampler.near_pair_fraction))
-    x_near = rng.uniform(-r, r, size=(n_near, dim))
+    step = max(1, _BLOCK_ENTRIES // dim)
+    rng.bit_generator.advance(n_near * dim)  # past the near x's
     y_near = rng.standard_normal(size=(n_near, dim))  # directions, scaled below
-    lens = np.linalg.norm(y_near, axis=1)
+    lens = np.empty(n_near)
+    for start in range(0, n_near, step):  # a row's norm is its own: no (n_near, d) temporary
+        lens[start : start + step] = np.linalg.norm(y_near[start : start + step], axis=1)
     while np.any(lens == 0.0):
         bad = lens == 0.0
         y_near[bad] = rng.standard_normal(size=(int(bad.sum()), dim))
-        lens = np.linalg.norm(y_near, axis=1)
+        lens[bad] = np.linalg.norm(y_near[bad], axis=1)
     mags = np.exp(rng.uniform(math.log(1e-4 * r), math.log(1e-3 * r), size=n_near))
-    y_near *= (mags / lens)[:, None]
-    y_near += x_near
+    y_near *= (mags / lens)[:, None]  # the steps; each block adds its x's
 
     # A far y sits skip = n_far*d doubles past its x. Each block draws its far
     # x's, advances to their y's, then moves back by skip to the next block's
     # x's: PCG64's period is 2**128, so an advance by 2**128 - skip does that
     # (dim must be a Python int, as 2**128 - skip does not fit an int64).
     skip = (n - n_near) * dim
-    step = max(1, _BLOCK_ENTRIES // dim)
     xbuf, ybuf, dbuf = np.empty((3, min(step, n), dim))
     floor = MIN_SEPARATION * r
     close = []  # (rows, xs, ys) of the too-close far pairs, in order
@@ -267,8 +297,8 @@ def _pair_blocks(sampler: PairSampler, dim: int):
         m = rows.stop - start
         xs, ys, diffs = xbuf[:m], ybuf[:m], dbuf[:m]
         k = min(m, max(0, n_near - start))  # near rows in the block
-        xs[:k] = x_near[start : start + k]
-        ys[:k] = y_near[start : start + k]
+        _fill_uniform(near_rng, xs[:k], r)
+        np.add(y_near[start : start + k], xs[:k], out=ys[:k])
         if k < m:
             _fill_uniform(rng, xs[k:], r)
             rng.bit_generator.advance(skip - xs[k:].size)
@@ -308,11 +338,14 @@ def _with_distances(xs: np.ndarray, ys: np.ndarray):
 
 @dataclass
 class EnrichmentReport:
-    """Outcome of a sampled condition check.
+    """Outcome of a condition check.
 
     ``passed`` is a read-only property, exactly ``max_ratio <= 1 + slack``.
-    The witness is the sampled pair attaining ``max_ratio`` (the earliest one
-    on ties) and reproduces it on re-evaluation.
+    The witness is the pair attaining ``max_ratio`` (on the sampled path the
+    earliest one on ties) and reproduces it on re-evaluation. ``bound`` is
+    the exact supremum of the ratio, ``||bI + A|| / rhs(b)``, on the exact
+    path and None on the sampled one; ``status`` says which path ran and, on
+    the exact one, the verdict (see ``verify_condition``).
     """
 
     kind: ConditionKind
@@ -322,6 +355,8 @@ class EnrichmentReport:
     witness_x: np.ndarray
     witness_y: np.ndarray
     slack: float
+    bound: float | None = None
+    status: CheckStatus = CheckStatus.SAMPLED
 
     @property
     def passed(self) -> bool:
@@ -333,8 +368,10 @@ class EnrichmentReport:
             "b": self.b,
             "pairs_tested": self.pairs_tested,
             "max_ratio": self.max_ratio,
+            "bound": self.bound,
             "witness": {"x": self.witness_x.tolist(), "y": self.witness_y.tolist()},
             "passed": self.passed,
+            "status": self.status.value,
             "slack": self.slack,
         }
 
@@ -419,27 +456,96 @@ def verify_condition(
     slack: float = DEFAULT_SLACK,
     norm_kind: NormKind = NormKind.L2,
 ) -> EnrichmentReport:
-    """Sampled, refutable check of the (modified-)enrichment condition.
+    """Check of the (modified-)enrichment condition: exact for a map with a
+    finite affine form, a sampled check otherwise.
 
     A report whose ``passed`` is False carries a concrete violating pair and
-    is a proof of failure. A True ``passed`` only says no sampled pair
-    violated the inequality beyond ``slack``.
+    is a proof of failure, on either path.
+
+    When ``as_affine`` gives a finite form (A, c), the condition is
+    ``||Mx|| <= rhs(b) ||x||`` for every x, M = bI + A, and no pair is
+    drawn. ``bound`` is ``OPERATOR_NORMS[norm_kind](M) / rhs(b)``. The
+    witness is ``x = r v / ||v||_inf`` and ``y = 0``, both in the sampler's
+    box of radius r, where v is a top direction of M in the norm: the top
+    right singular vector (l2), the unit vector of the largest column sum of
+    |M| (l1), or the sign vector of the largest row sum, 0 read as +1
+    (l-infinity). That one pair is scored as a sampled one is, through the
+    compiled map, so ``max_ratio`` is what ``condition_ratio`` gives on T
+    itself, and ``pairs_tested`` is 1. ``status`` is ``refuted`` when
+    ``passed`` is False and ``proved`` otherwise: the witness ratio equals
+    the bound up to rounding, within the allowance 8 d eps (b + ||M|| + 1)
+    of the kind ``min_b_affine`` grants the kernels (``_ROUNDING``), as long
+    as the offset c is not large against r ||A||, since Tx - Ty cancels c.
+    Where the witness misses the bound by more than that allowance, the map
+    gets the sampled check instead.
+
+    Any other map gets a sampled check (``_sampled_report``), status
+    ``sampled`` and ``bound`` None: a True ``passed`` then only says no
+    sampled pair violated the inequality beyond ``slack``.
+
+    Raises ParameterOutOfRange for a b or a ``slack`` that is not a finite
+    number >= 0, and NonFiniteResult when the map overflows at a scored
+    point.
+    """
+    b, slack = _as_b(b), _as_slack(slack)
+    kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
+    sampler = sampler if sampler is not None else PairSampler()
+    form = as_affine(mapping)
+    if form is not None:
+        M, c = form
+        with np.errstate(over="ignore", invalid="ignore"):
+            M.flat[:: M.shape[0] + 1] += b  # bI + A, in the form's own array
+    if form is None or not (np.isfinite(M).all() and np.isfinite(c).all()):
+        return _sampled_report(mapping, b, kind, sampler, slack, norm_kind)
+    factor = _factor(b, kind)
+    x = _attaining_point(M, norm_kind, sampler.box_radius)
+    y = np.zeros_like(x)
+    pair = _with_distances(x[None], y[None])
+    ratio = float(_score(_compile(mapping), b, factor, norm_kind, *pair)[0])
+    top = OPERATOR_NORMS[norm_kind](M)
+    bound = top / factor
+    if abs(ratio - bound) * factor > _ROUNDING * M.shape[0] * (b + top + 1.0):
+        # The offset swamps Tx - Ty at the box's scale, so the pair misses the
+        # bound by more than rounding: no pair backs an exact verdict.
+        return _sampled_report(mapping, b, kind, sampler, slack, norm_kind)
+    status = CheckStatus.PROVED if ratio <= 1.0 + slack else CheckStatus.REFUTED
+    return EnrichmentReport(kind, b, 1, ratio, x, y, slack, bound, status)
+
+
+def _attaining_point(M: np.ndarray, norm_kind: NormKind, r: float) -> np.ndarray:
+    """``r v / ||v||_inf`` for a top direction v of M in the norm, so that
+    ``||M v|| = ||M|| ||v||`` up to rounding and the point lies in [-r, r]^d."""
+    if norm_kind is NormKind.L2:
+        v = np.linalg.svd(M)[2][0]
+    elif norm_kind is NormKind.L1:
+        v = np.zeros(M.shape[0])
+        v[np.argmax(np.abs(M).sum(axis=0))] = 1.0
+    else:
+        v = np.where(M[np.argmax(np.abs(M).sum(axis=1))] < 0.0, -1.0, 1.0)
+    return r * (v / np.abs(v).max())
+
+
+def _sampled_report(
+    mapping: Mapping,
+    b: float,
+    kind: ConditionKind,
+    sampler: PairSampler,
+    slack: float,
+    norm_kind: NormKind,
+) -> EnrichmentReport:
+    """``verify_condition``'s sampled check, on arguments it has checked.
 
     Each row block of the sampler's stream is scored in the buffers it was
-    drawn into, max(1, 2**15 // d) rows at a time, so no (count, d) pair
-    array exists: the check holds the near pairs and one block's
+    drawn into, max(1, 2**14 // d) rows at a time, so no (count, d) pair
+    array exists: the check holds the near pairs' steps and one block's
     temporaries. In l2 the far rows' distances from the rejection test are
     the right-hand side. As each block is scored, its best row is compared
     with the best so far and its pair copied when it wins, as ``np.argmax``
     over every row would pick: the larger ratio, the lower row on a tie. A
     too-close far pair's first draw never counts, since its redraw is scored
     in the last block. Every ratio, and so the report, is the same as in one
-    whole-batch pass. Raises ParameterOutOfRange for a b or a ``slack`` that
-    is not a finite number >= 0.
+    whole-batch pass.
     """
-    b, slack = _as_b(b), _as_slack(slack)
-    kind, norm_kind = _as_condition_kind(kind), as_norm_kind(norm_kind)
-    sampler = sampler if sampler is not None else PairSampler()
     apply = _compile(mapping)
     factor = _factor(b, kind)
     best = None  # (ratio, row, x, y) of the pick so far
@@ -554,10 +660,16 @@ def min_b_affine(
     forming bI + A and of the norm kernels, so where g is flat at 0 past the
     least b, as for a map that fixes a direction, the closed form stands
     whichever sign rounding gives its reading. The closed form is the answer
-    when the test accepts it. Otherwise the one repair is bisection between
-    the refused point and an accepted end, B_CAP (enriched) or the middle of
-    the closed form's interval (modified); it finds the least accepted b to
-    within ``B_TOL`` in at most 48 passes.
+    when the test accepts it. A closed form lo > 0 that it refuses by at most
+    B_TOL is most often off by its own rounding, which the allowance does not
+    cover (about 1e-14 relative for the l2 modified companion eigenvalues),
+    so lo + B_TOL / 2 is tested next and is the answer when accepted: the
+    least accepted b lies above lo, so this is within ``B_TOL`` of it. g
+    moves by at most 2 per unit of b, so a larger refusal skips that test.
+    Otherwise the one repair is bisection between the refused point and an
+    accepted end, B_CAP (enriched) or the middle of the closed form's
+    interval (modified); it finds the least accepted b to within ``B_TOL``
+    in at most 48 passes.
 
     None rests on the same test. Every feasible b is at least
     (||A|| - 1) / 2, so ||A|| > 2 B_CAP + 1 rules every b out before any
@@ -576,8 +688,9 @@ def min_b_affine(
         return None
     allowance = _ROUNDING * A.shape[0]
 
-    def feasible(b: float) -> bool:
-        return op_norm(b * eye + A) - _factor(b, kind) <= allowance * (b + top + 1.0)
+    def excess(b: float) -> float:
+        """g(b) less its allowance: b is accepted when this is <= 0."""
+        return op_norm(b * eye + A) - _factor(b, kind) - allowance * (b + top + 1.0)
 
     if top - 1.0 <= allowance * (top + 1.0):
         return 0.0
@@ -589,15 +702,24 @@ def min_b_affine(
         lo, hi = _modified_interval(A, norm_kind)
         lo = min(lo, B_CAP)
         hi = 0.5 * (lo + min(hi, B_CAP))
-    if lo > 0.0 and feasible(lo):
-        return lo
-    if not (lo < hi and feasible(hi)):
+    if lo > 0.0:
+        over = excess(lo)
+        if over <= 0.0:
+            return lo
+        # A closed form refused by rounding: a b B_TOL / 2 above it, when
+        # accepted, is within B_TOL of the least accepted b. g moves by at most
+        # 2 per unit of b, so it cannot be accepted when lo is over by more
+        # than B_TOL.
+        near = lo + 0.5 * B_TOL
+        if over <= B_TOL and near < hi and excess(near) <= 0.0:
+            return near
+    if not (lo < hi and excess(hi) <= 0.0):
         return None
     # Each pass halves hi - lo <= B_CAP = 1e6 until it is at most B_TOL / 2:
     # at most 48 passes.
     while hi - lo > B_TOL * 0.5:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if excess(mid) <= 0.0:
             hi = mid
         else:
             lo = mid

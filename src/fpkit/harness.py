@@ -363,10 +363,10 @@ def _dispatch(cfg: ExperimentConfig) -> tuple[str, IterationTrace | None, dict]:
     ``error:<type>``), its trace (None unless it iterates) and the RunSummary
     fields it sets.
 
-    The sampled check runs here alone: for a ``verify`` config, and after the
-    iteration of a ``solve_modified`` config with ``verify`` set, where it
-    checks the modified condition at the solve's b. The solve's status is
-    its trace's; a refuted check does not change it.
+    The condition check runs here alone: for a ``verify`` config, and after
+    the iteration of a ``solve_modified`` config with ``verify`` set, where
+    it checks the modified condition at the solve's b. The solve's status
+    is its trace's; a refuted check does not change it.
     """
     try:
         if cfg.scheme is Scheme.PICARD:

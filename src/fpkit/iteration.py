@@ -355,8 +355,8 @@ def solve_modified(
     contraction bound with factor lambda. Requires b > 0: at b = 0 the
     condition only says the map is nonexpansive and the contraction guarantee
     (and uniqueness) evaporates. Whether T meets the condition is a separate
-    question, which ``enrichment.verify_condition`` can refute but never
-    certify; the iteration runs either way.
+    question, which ``enrichment.verify_condition`` answers (exactly for an
+    affine map, by sampling otherwise); the iteration runs either way.
     """
     lam = _modified_lam(b)
     trace = krasnoselskij(mapping, lam, x0, stop, norm_kind, store_iterates=store_iterates)

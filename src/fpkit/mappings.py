@@ -416,12 +416,14 @@ def _walk(m: Mapping, x):
 
     With ``x`` None there is no value, and a box projection ends the walk
     with None. The form starts as None, the identity; the first affine leaf
-    starts it with copies of its arrays, and a mix over no earlier leaf
-    takes ``alpha * eye`` and the base's offset times ``beta``, so a leaf, a
-    root composition of leaves and a linear combination over leaves fold
-    with no product by ``eye``. A leaf's matrix multiplies the form from the
-    left, and a mix combines the saved form with the base's, so a subtree
-    after other stages is folded into them leaf by leaf, not on its own.
+    starts it with its own arrays, copied only when the walk ends with them
+    as the form, since every later step makes new ones. A mix over no
+    earlier leaf takes ``alpha * eye`` and the base's offset times ``beta``,
+    so a leaf, a root composition of leaves and a linear combination over
+    leaves fold with no product by ``eye``. A leaf's matrix multiplies the
+    form from the left, and a mix combines the saved form with the base's,
+    so a subtree after other stages is folded into them leaf by leaf, not on
+    its own.
 
     At ``x`` a box gives ``diag(free)`` and its clamped values, where
     ``free`` marks the coordinates of its input z strictly inside the bounds
@@ -430,18 +432,21 @@ def _walk(m: Mapping, x):
     box whose input does not move (J_z = 0) bounds nothing.
     """
     value, form, margin, saved = x, None, math.inf, []
+    shared = False  # whether the form is still an Affine leaf's own arrays
     for step in _fold(m, _program):
         match step:
             case None:
                 saved.append((value, form))
             case (a, b):
+                shared = False
                 (z, before), (A, c) = saved.pop(), form or _identity(m.dim)
                 A0, c0 = before or _identity(m.dim)
                 form = a * A0 + b * A, (b * c if before is None else a * c0 + b * c)
                 value = None if x is None else a * z + b * value
             case Affine() | Rotation():
                 L, o = (step.matrix, step.offset) if type(step) is Affine else (step.matrix(), np.zeros(2))
-                form = (L.copy(), o.copy()) if form is None else (L @ form[0], L @ form[1] + o)
+                shared = form is None and type(step) is Affine
+                form = (L, o) if form is None else (L @ form[0], L @ form[1] + o)
                 value = None if x is None else _op(step)(value)
             case BoxProjection(lo=lo, hi=hi):
                 if x is None:
@@ -453,7 +458,9 @@ def _walk(m: Mapping, x):
                 reach = np.abs(J).sum(axis=1).max()  # ||J_z||_inf; NaN from an overflow is kept
                 if reach:
                     margin = np.minimum(margin, np.minimum(abs(z - lo), abs(hi - z)).min() / reach)
-                form = np.where(free[:, None], J, 0.0), np.where(free, c, value)
+                form, shared = (np.where(free[:, None], J, 0.0), np.where(free, c, value)), False
+    if shared:
+        form = form[0].copy(), form[1].copy()
     return value, *(form or _identity(m.dim)), margin
 
 

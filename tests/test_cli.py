@@ -78,7 +78,9 @@ def test_verify_refuted_is_scheme_failure(tmp_path, write_config):
 def test_verify_pass(tmp_path, write_config, capsys):
     cfg = write_config({"mapping": DEMO_MAPPING, "b": 3.0, "kind": "modified"})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
-    assert "passed=True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "passed=True" in out
+    assert "  max_ratio=1.0 status=proved passed=True\n" in out
 
 
 def test_verify_summary_is_strict_json_with_null_for_inf(tmp_path, write_config):
@@ -182,9 +184,13 @@ def test_missing_or_foreign_fields_are_config_errors(tmp_path, write_config, cap
 def test_seed_reaches_a_sampler_that_names_none(tmp_path, write_config):
     # A sampler object without a seed draws with the document's seed, as a
     # bench generator family does, so --seed changes the sample; one that
-    # names its seed keeps it.
-    doc = {"mapping": {"kind": "rotation", "theta": 1.0}, "b": 0.3, "kind": "modified",
-           "sampler": {"count": 100}}
+    # names its seed keeps it. The box, which never clamps a point of the
+    # sampler's box, leaves the map the rotation but takes it off the exact
+    # path, whose witness does not depend on the seed.
+    rotation = {"kind": "rotation", "theta": 1.0}
+    box = {"kind": "box_projection", "lo": [-1000.0, -1000.0], "hi": [1000.0, 1000.0]}
+    doc = {"mapping": {"kind": "composition", "stages": [rotation, box]}, "b": 0.3,
+           "kind": "modified", "sampler": {"count": 100}}
     witnesses = []
     for sampler, seed, drawn in (({"count": 100}, 1, 1), ({"count": 100}, 2, 2),
                                  ({"count": 100, "seed": 7}, 1, 7)):

@@ -14,6 +14,7 @@ from fpkit.enrichment import B_TOL
 from fpkit.errors import DimensionMismatch, InvariantViolation, NonFiniteResult, ParameterOutOfRange
 
 from _family import (
+    B_GRID,
     family50,
     reduction_identity_gap,
     reference_draw,
@@ -183,6 +184,22 @@ def _reference_grid():
             yield sampler, mapping, (0.0, 0.5, 1.0, 3.0)[(seed + d) % 4]
 
 
+def _sampled(mapping, b, kind, sampler, norm_kind=fp.NormKind.L2):
+    """``verify_condition``'s sampled check, run on affine maps too."""
+    return enrichment._sampled_report(
+        mapping, float(b), fp.ConditionKind(kind), sampler, enrichment.DEFAULT_SLACK,
+        fp.NormKind(norm_kind),
+    )
+
+
+def _assert_same_sampled_report(got, want, where):
+    assert repr(got.max_ratio) == repr(want.max_ratio), where
+    np.testing.assert_array_equal(got.witness_x, want.witness_x)
+    np.testing.assert_array_equal(got.witness_y, want.witness_y)
+    assert got.passed == want.passed and got.pairs_tested == want.pairs_tested
+    assert got.status == "sampled" and got.bound is None
+
+
 def test_draw_matches_the_reference_bit_for_bit():
     for sampler, mapping, _ in _reference_grid():
         xs, ys = sampler.draw(mapping.dim)
@@ -192,18 +209,24 @@ def test_draw_matches_the_reference_bit_for_bit():
 
 
 def test_verify_matches_the_whole_batch_reference_bit_for_bit():
-    checks = 0
+    # The sampled check runs on every map of the grid, affine ones too; on
+    # the box-projected half verify_condition takes it and gives its report.
+    checks = boxed = 0
     for sampler, mapping, b in _reference_grid():
         for kind in fp.ConditionKind:
             for norm_kind in fp.NormKind:
-                got = fp.verify_condition(mapping, b, kind, sampler, norm_kind=norm_kind)
+                got = _sampled(mapping, b, kind, sampler, norm_kind)
                 want = reference_verify(mapping, b, kind, sampler, norm_kind=norm_kind)
                 assert repr(got.max_ratio) == repr(want.max_ratio), (sampler, b, kind, norm_kind)
                 np.testing.assert_array_equal(got.witness_x, want.witness_x)
                 np.testing.assert_array_equal(got.witness_y, want.witness_y)
                 assert got.passed == want.passed and got.pairs_tested == want.pairs_tested
                 checks += 1
-    assert checks == 1440
+                if isinstance(mapping, fp.Composition):
+                    got = fp.verify_condition(mapping, b, kind, sampler, norm_kind=norm_kind)
+                    _assert_same_sampled_report(got, want, (sampler, b, kind, norm_kind))
+                    boxed += 1
+    assert checks == 1440 and boxed == 720
 
 
 def test_redraws_match_the_reference_bit_for_bit(monkeypatch):
@@ -212,7 +235,7 @@ def test_redraws_match_the_reference_bit_for_bit(monkeypatch):
     # are too close and redraws run for three rounds or more in every block,
     # in the sparse ones a few blocks hold one too-close pair. A block budget
     # of 2**10 entries spreads each sample over 4 blocks, and the last case
-    # keeps the real budget. Blocks with too-close pairs, the redraws from the
+    # takes one of 2**15. Blocks with too-close pairs, the redraws from the
     # stream's end and the witnesses must equal one whole draw's bits.
     checks = 0
     cases = [  # (d, count, block budget, separation, dense)
@@ -249,13 +272,16 @@ def test_redraws_match_the_reference_bit_for_bit(monkeypatch):
                 mapping = fp.Composition([mapping, fp.BoxProjection(-np.ones(d), np.ones(d))])
             for kind in fp.ConditionKind:
                 for norm_kind in fp.NormKind:
-                    got = fp.verify_condition(mapping, 0.5, kind, sampler, norm_kind=norm_kind)
+                    got = _sampled(mapping, 0.5, kind, sampler, norm_kind)
                     want = reference_verify(mapping, 0.5, kind, sampler, norm_kind=norm_kind)
                     assert repr(got.max_ratio) == repr(want.max_ratio), (d, seed, kind)
                     np.testing.assert_array_equal(got.witness_x, want.witness_x)
                     np.testing.assert_array_equal(got.witness_y, want.witness_y)
                     assert got.passed == want.passed
                     checks += 1
+                    if seed % 2:
+                        got = fp.verify_condition(mapping, 0.5, kind, sampler, norm_kind=norm_kind)
+                        _assert_same_sampled_report(got, want, (d, seed, kind))
     assert checks == 84
 
 
@@ -263,10 +289,11 @@ def test_redraws_match_the_reference_bit_for_bit(monkeypatch):
 
 
 def test_verify_modified_demo_map_passes_at_three():
+    # An affine map is decided exactly, from one pair.
     rep = fp.verify_condition(T_LINE, 3.0, fp.ConditionKind.MODIFIED)
     assert rep.passed
     assert rep.max_ratio == pytest.approx(1.0, abs=1e-10)
-    assert rep.pairs_tested == 10_000
+    assert rep.pairs_tested == 1 and rep.status == "proved"
     assert rep.kind is fp.ConditionKind.MODIFIED
 
 
@@ -373,16 +400,18 @@ def test_verify_on_a_huge_box_is_not_nan():
     # in scaled units, so the line x -> 1 - 2x keeps its exact enriched
     # ratio at b = 1, and so does x -> -2x in 2-d in every norm, where each
     # l2 square of a pair's difference overflows.
+    # Both the exact path and the sampled one, whose rows are rescored.
     sampler = fp.PairSampler(box_radius=1e200, count=10)
-    rep = fp.verify_condition(fp.line_map(-2.0, 1.0), 1.0, fp.ConditionKind.ENRICHED, sampler)
-    assert rep.max_ratio == pytest.approx(0.5, rel=1e-12)
-    assert rep.passed
-    for nk in fp.NormKind:
-        rep = fp.verify_condition(
-            fp.scaling_map(-2.0, 2), 1.0, fp.ConditionKind.ENRICHED, sampler, norm_kind=nk
-        )
-        assert rep.max_ratio == pytest.approx(0.5, rel=1e-12), nk
+    for check in (fp.verify_condition, _sampled):
+        rep = check(fp.line_map(-2.0, 1.0), 1.0, fp.ConditionKind.ENRICHED, sampler)
+        assert rep.max_ratio == pytest.approx(0.5, rel=1e-12)
         assert rep.passed
+        for nk in fp.NormKind:
+            rep = check(
+                fp.scaling_map(-2.0, 2), 1.0, fp.ConditionKind.ENRICHED, sampler, norm_kind=nk
+            )
+            assert rep.max_ratio == pytest.approx(0.5, rel=1e-12), nk
+            assert rep.passed
 
 
 def test_verify_near_the_box_limit_does_not_overflow_the_condition():
@@ -398,13 +427,15 @@ def test_verify_near_the_box_limit_does_not_overflow_the_condition():
         (fp.line_map(-2.0, 0.0), fp.ConditionKind.ENRICHED, 0.25),
         (fp.scaling_map(-2.0, 2), fp.ConditionKind.MODIFIED, 1.0),
     ]
-    for mapping, kind, want in cases:
-        for nk in fp.NormKind:
-            rep = fp.verify_condition(mapping, 3.0, kind, sampler, norm_kind=nk)
-            assert rep.max_ratio == pytest.approx(want, rel=1e-10), (kind, nk)
-            assert rep.passed
-            x, y = rep.witness_x, rep.witness_y
-            assert fp.condition_ratio(mapping, 3.0, kind, x, y, nk) == rep.max_ratio
+    # Both the exact path and the sampled one, whose rows are rescored.
+    for check in (fp.verify_condition, _sampled):
+        for mapping, kind, want in cases:
+            for nk in fp.NormKind:
+                rep = check(mapping, 3.0, kind, sampler, norm_kind=nk)
+                assert rep.max_ratio == pytest.approx(want, rel=1e-10), (kind, nk)
+                assert rep.passed
+                x, y = rep.witness_x, rep.witness_y
+                assert fp.condition_ratio(mapping, 3.0, kind, x, y, nk) == rep.max_ratio
 
 
 def test_verify_ratio_past_the_float_range_reads_inf():
@@ -430,10 +461,16 @@ def test_verify_overflowing_mapping_raises_non_finite():
             fp.verify_condition(fp.scaling_map(1e307, 2), 1.0, fp.ConditionKind.ENRICHED, sampler)
 
 
+def _boxed_d64():
+    """A d = 64 map with a box, which the sampled check takes."""
+    (affine,) = fp.generate_affine_family(0, 64, np.linspace(0.1, 1.8, 64), 1)
+    return fp.Composition((affine, fp.BoxProjection(-np.ones(64), np.ones(64))))
+
+
 def test_verify_memory_is_about_the_pair_arrays():
     # Two (10_000, 64) float64 pair arrays take 10.24 MB; a whole-batch pass
     # over them peaked near 29.4 MB of numpy temporaries.
-    (mapping,) = fp.generate_affine_family(0, 64, np.linspace(0.1, 1.8, 64), 1)
+    mapping = _boxed_d64()
     sampler = fp.PairSampler(count=10_000)
     fp.verify_condition(mapping, 1.0, fp.ConditionKind.ENRICHED, sampler)
     tracemalloc.start()
@@ -448,9 +485,9 @@ def test_verify_memory_is_about_the_pair_arrays():
 
 def test_verify_streams_its_pairs():
     # Pairs are scored in the block buffers they are drawn into, so a check
-    # at d = 64 holds the near pairs (2.05 MB), one block's arrays and the
-    # ratios: under half the 10.24 MB of two (10_000, 64) pair arrays.
-    (mapping,) = fp.generate_affine_family(0, 64, np.linspace(0.1, 1.8, 64), 1)
+    # at d = 64 holds the near pairs' steps (1.02 MB), one block's arrays and
+    # the ratios: under half the 10.24 MB of two (10_000, 64) pair arrays.
+    mapping = _boxed_d64()
     sampler = fp.PairSampler(count=10_000)
     fp.verify_condition(mapping, 1.0, fp.ConditionKind.ENRICHED, sampler)
     tracemalloc.start()
@@ -461,6 +498,114 @@ def test_verify_streams_its_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 2 * 10_000 * 64 * 8, peak
+
+
+# --- exact verdicts for affine maps ---
+
+_ORDS = {fp.NormKind.L1: 1, fp.NormKind.L2: 2, fp.NormKind.LINF: np.inf}
+
+
+def _exact_cases():
+    """Random affine maps, linear combinations over them and rotations at d
+    in {1, 2, 8, 64}, each with a b drawn from the grid or at random."""
+    rng = np.random.default_rng(2801)
+    for d in (1, 2, 8, 64):
+        for _ in range(4):
+            A = rng.standard_normal((d, d)) * rng.uniform(0.1, 3.0) / math.sqrt(d)
+            m = fp.Affine(A, rng.standard_normal(d))
+            yield m
+            yield fp.LinearCombinationWithIdentity(
+                float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-2.0, 2.0)), m
+            )
+            if d == 2:
+                yield fp.Rotation(float(rng.uniform(-math.pi, math.pi)))
+
+
+def test_affine_maps_are_decided_by_the_operator_norm():
+    # The witness attains the bound up to rounding, within min_b_affine's
+    # allowance, lies in the sampler's box and reproduces max_ratio on T
+    # itself; the status is numpy's verdict on ||bI + A|| / rhs(b).
+    rng = np.random.default_rng(2802)
+    sampler = fp.PairSampler(box_radius=7.5)
+    checks = 0
+    for m in _exact_cases():
+        A, _ = fp.as_affine(m)
+        d = A.shape[0]
+        for norm_kind, ord_ in _ORDS.items():
+            for kind in fp.ConditionKind:
+                b = float(rng.choice([*B_GRID, rng.uniform(0.0, 5.0)]))
+                rep = fp.verify_condition(m, b, kind, sampler, norm_kind=norm_kind)
+                rhs = enrichment._factor(b, kind)
+                where = (d, b, kind, norm_kind)
+                assert rep.pairs_tested == 1, where
+                assert abs(rep.max_ratio - rep.bound) <= 1e-12 * rep.bound, where
+                allowance = enrichment._ROUNDING * d * (b + np.linalg.norm(A, ord_) + 1.0)
+                assert abs(rep.max_ratio - rep.bound) * rhs <= allowance, where
+                again = fp.condition_ratio(
+                    m, b, kind, rep.witness_x, rep.witness_y, norm_kind
+                )
+                assert again == rep.max_ratio, where
+                for point in (rep.witness_x, rep.witness_y):
+                    assert np.abs(point).max() <= sampler.box_radius, where
+                exact = np.linalg.norm(b * np.eye(d) + A, ord_) / rhs
+                assert rep.status == ("proved" if exact <= 1.0 + rep.slack else "refuted"), where
+                assert rep.passed == (rep.status == "proved"), where
+                checks += 1
+    assert checks == (4 * 4 * 2 + 4) * 6
+
+
+def test_exact_path_has_no_false_passes_where_the_sample_had_them():
+    # ROADMAP item 1's table: the enriched l2 check at b in {0.5, 1, 3} on
+    # generate_affine_family(0, d, linspace(0.1, 1.8, d), 5). The default
+    # 10k-pair sample passed 0, 1 and 10 of 15 maps whose exact ratio
+    # exceeds 1 at d = 2, 8 and 64; the exact path passes none, and agrees
+    # with the exact ratio to a few ulps.
+    for d, sampled_false_passes in ((2, 0), (8, 1), (64, 10)):
+        maps = fp.generate_affine_family(0, d, np.linspace(0.1, 1.8, d), 5)
+        false_passes = [0, 0]
+        for m in maps:
+            for b in (0.5, 1.0, 3.0):
+                exact = np.linalg.norm(b * np.eye(d) + m.matrix, 2) / (b + 1.0)
+                rep = fp.verify_condition(m, b, "enriched")
+                assert rep.status == ("proved" if exact <= 1.0 + rep.slack else "refuted")
+                assert abs(rep.max_ratio - exact) <= 1e-14 * exact, (d, b)
+                sampled = _sampled(m, b, "enriched", fp.PairSampler())
+                for i, r in enumerate((rep, sampled)):
+                    false_passes[i] += r.passed and exact > 1.0 + r.slack
+        assert false_passes == [0, sampled_false_passes], d
+
+
+def test_exact_bound_follows_the_reduction_identity():
+    # The paper's identity: T is b-enriched iff its averaged map
+    # S = (bx + Tx)/(b+1) is nonexpansive, and the exact bounds agree.
+    for m in family50():
+        for b in B_GRID:
+            for norm_kind in fp.NormKind:
+                got = fp.verify_condition(m, b, "enriched", norm_kind=norm_kind).bound
+                reduced = fp.enriched_reduction(m, b)
+                want = fp.verify_condition(reduced, 0.0, "enriched", norm_kind=norm_kind).bound
+                assert abs(got - want) <= 1e-12 * want, (b, norm_kind)
+
+
+def test_maps_the_exact_path_cannot_back_are_sampled():
+    # A fold that overflows has no finite form: (1e200)^2 is inf. The map
+    # itself is finite on a box of radius 1e-100, and its ratio past the
+    # float range refutes; a box projection is sampled as well.
+    m = fp.Composition((fp.scaling_map(1e200), fp.scaling_map(1e200)))
+    assert not np.isfinite(fp.as_affine(m)[0]).all()
+    sampler = fp.PairSampler(box_radius=1e-100, count=50)
+    rep = fp.verify_condition(m, 1.0, "enriched", sampler)
+    assert rep.status == "sampled" and rep.bound is None and rep.pairs_tested == 50
+    assert rep.max_ratio == math.inf and not rep.passed
+    # An offset that swamps Tx - Ty on the box: (1.1 + 3e15) - 3e15 reads 1,
+    # so the witness misses the bound 1.1 and the map is sampled, not proved.
+    swamped = fp.Affine([[1.1]], [3e15])
+    rep = fp.verify_condition(swamped, 0.0, "modified", fp.PairSampler(box_radius=1.0, count=50))
+    assert rep.status == "sampled" and rep.bound is None and rep.pairs_tested == 50
+    boxed = fp.Composition((fp.scaling_map(2.0), fp.BoxProjection([-1.0], [1.0])))
+    rep = fp.verify_condition(boxed, 0.0, "modified", sampler)
+    assert rep.status == "sampled" and rep.bound is None and rep.pairs_tested == 50
+    assert rep.max_ratio == pytest.approx(2.0) and not rep.passed
 
 
 # --- the reduction identity ---
@@ -816,6 +961,39 @@ def test_min_b_operator_norm_budget(monkeypatch):
                 calls += 1
     assert calls == 180
     assert evals / calls <= 3.0, evals / calls
+
+
+def test_min_b_steps_just_past_a_closed_form_the_kernel_refuses(monkeypatch):
+    # On these -b0*I + M maps (d = 2, b0 near 37-41, ||M||_2 < 1) the l2
+    # modified closed form is off by its own rounding, about 1e-14 relative,
+    # and the kernel refuses it by 1.3-2.1 times the allowance. lo + B_TOL/2
+    # is accepted, so the answer takes 3 kernel calls (||A||, lo and
+    # lo + B_TOL/2), where a bisection to the middle of the interval took
+    # 30-31; it is within B_TOL of the least accepted b, since B_TOL below it
+    # is refused.
+    evals = 0
+    kernel = spaces.OPERATOR_NORMS[fp.NormKind.L2]
+
+    def counted(M):
+        nonlocal evals
+        evals += 1
+        return kernel(M)
+
+    monkeypatch.setitem(spaces.OPERATOR_NORMS, fp.NormKind.L2, counted)
+    kind = fp.ConditionKind.MODIFIED
+    for seed in (10, 19, 20, 24):
+        rng = np.random.default_rng(9000 + seed)
+        M = rng.standard_normal((2, 2))
+        M *= rng.uniform(0.1, 0.9) / np.linalg.norm(M, 2)
+        A = -rng.uniform(0.5, 50.0) * np.eye(2) + M
+        lo = enrichment._modified_interval(A, fp.NormKind.L2)[0]
+        assert _kernel_gap(A, kind, fp.NormKind.L2, lo) > _allowance(A, fp.NormKind.L2, lo)
+        evals = 0
+        b = fp.min_b_affine(A, kind, fp.NormKind.L2)
+        assert evals == 3 and b == lo + 0.5 * B_TOL, (seed, evals, b - lo)
+        assert _kernel_gap(A, kind, fp.NormKind.L2, b) <= _allowance(A, fp.NormKind.L2, b)
+        below = b - B_TOL
+        assert _kernel_gap(A, kind, fp.NormKind.L2, below) > _allowance(A, fp.NormKind.L2, below)
 
 
 def test_min_b_of_huge_matrices_is_none_without_warnings():
